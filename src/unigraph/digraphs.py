@@ -31,7 +31,6 @@ __all__ = [
     "perfect_two_matching",
     "hall_violations",
     "connectivity_numbers",
-    "independent_paths",
     "hamiltonian_cycle",
     "automorphism_group",
     "induced_subgraph_search",
@@ -155,62 +154,65 @@ def neighborhood(D: Digraph, members, direction: str = "out") -> frozenset[int]:
 
 # === connectivity structure ===
 
-def _weak_count(D: Digraph, *, drop_vertex=None, drop_arc=None, drop_edge=None) -> int:
-    """Number of weak components, optionally with a vertex/arc/edge removed.
+def _lowpoint_dfs(D: Digraph):
+    """Weak components, bridges and cut vertices of the underlying simple graph.
 
-    drop_edge removes both arcs of the pair; the removed vertex does not count
-    as a component of its own.
+    One iterative Hopcroft-Tarjan lowpoint DFS, loops dropped.  Components
+    are sorted and listed by least vertex; a bridge (i, j) has i < j.
     """
+    und = (D.adj | D.adj.T).astype(bool)
+    np.fill_diagonal(und, False)
+    nbrs = [np.flatnonzero(row).tolist() for row in und]
     n = D.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in D.arcs():
-        if i == j:
+    disc = [-1] * n
+    low = [0] * n
+    comps: list[tuple[int, ...]] = []
+    bridges: list[tuple[int, int]] = []
+    cuts: set[int] = set()
+    clock = 0
+    for root in range(n):
+        if disc[root] != -1:
             continue
-        if drop_vertex is not None and drop_vertex in (i, j):
-            continue
-        if drop_arc is not None and (i, j) == drop_arc:
-            continue
-        if drop_edge is not None and (min(i, j), max(i, j)) == drop_edge:
-            continue
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    roots = {find(v) for v in range(n) if v != drop_vertex}
-    return len(roots)
-
-
-def _weak_components(D: Digraph) -> tuple[tuple[int, ...], ...]:
-    n = D.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in D.arcs():
-        if i != j:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+        disc[root] = low[root] = clock
+        clock += 1
+        comp = [root]
+        root_children = 0
+        stack = [(root, -1, iter(nbrs[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    comp.append(w)
+                    stack.append((w, v, iter(nbrs[w])))
+                    break
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] > disc[p]:
+                    bridges.append((min(p, v), max(p, v)))
+                if low[v] >= disc[p]:
+                    if p == root:
+                        root_children += 1
+                    else:
+                        cuts.add(p)
+        if root_children >= 2:
+            cuts.add(root)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps), sorted(bridges), tuple(sorted(cuts))
 
 
 def _strong_components(D: Digraph) -> tuple[tuple[int, ...], ...]:
     """Strongly connected components (iterative Tarjan)."""
     n = D.n
-    out = [list(D.out_neighbors(v)) for v in range(n)]
+    out = [np.flatnonzero(row).tolist() for row in D.adj]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -236,8 +238,8 @@ def _strong_components(D: Digraph) -> tuple[tuple[int, ...], ...]:
                     work.append((w, 0))
                     advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
@@ -280,31 +282,23 @@ def structure_report(D: Digraph) -> StructureReport:
     A directed bridge is an arc whose removal raises the weak-component
     count; a bridge removes both arcs of an edge; a cut-vertex is removed
     together with its arcs.  All three are evaluated against weak
-    connectivity.
+    connectivity, so they are the bridges and cut vertices of the underlying
+    simple graph: a bridge pair holding one arc is a directed bridge, a pair
+    holding both arcs is a bridge.
     """
-    base = _weak_count(D)
-    directed_bridges = []
-    for i, j in D.arcs():
-        if i == j or D.adj[j, i]:
-            # a loop never disconnects; an antiparallel partner keeps i-j joined
-            continue
-        if _weak_count(D, drop_arc=(i, j)) > base:
-            directed_bridges.append((i, j))
-    bridges = []
-    for i, j in D.edges():
-        if _weak_count(D, drop_edge=(i, j)) > base:
+    weak, pairs, cut_vertices = _lowpoint_dfs(D)
+    directed_bridges, bridges = [], []
+    for i, j in pairs:
+        if D.adj[i, j] and D.adj[j, i]:
             bridges.append((i, j))
-    cut_vertices = []
-    if D.n >= 2:
-        for v in range(D.n):
-            if _weak_count(D, drop_vertex=v) > base:
-                cut_vertices.append(v)
+        else:
+            directed_bridges.append((i, j) if D.adj[i, j] else (j, i))
     return StructureReport(
-        weak_components=_weak_components(D),
+        weak_components=weak,
         strong_components=_strong_components(D),
-        directed_bridges=tuple(directed_bridges),
+        directed_bridges=tuple(sorted(directed_bridges)),
         bridges=tuple(bridges),
-        cut_vertices=tuple(cut_vertices),
+        cut_vertices=cut_vertices,
         is_symmetric=D.is_symmetric(),
     )
 
@@ -312,19 +306,14 @@ def structure_report(D: Digraph) -> StructureReport:
 def quadrangularity_violations(D: Digraph) -> list[tuple[tuple[int, int], str]]:
     """Unordered pairs whose common in- or out-neighborhood has size exactly 1.
 
-    Returns ((i, j), side) records with side "in" or "out"; a pair failing on
-    both sides yields two records.  Empty list = D is quadrangular.
+    Returns ((i, j), side) records with side "in" or "out", ordered by
+    (i, j) and then side; a pair failing on both sides yields two records.
+    Empty list = D is quadrangular.
     """
-    A = D.adj.astype(np.int32)
-    common_out = A @ A.T
-    common_in = A.T @ A
-    found = []
-    for i, j in combinations(range(D.n), 2):
-        if common_in[i, j] == 1:
-            found.append(((i, j), "in"))
-        if common_out[i, j] == 1:
-            found.append(((i, j), "out"))
-    return found
+    # float64 routes the products to BLAS; the counts are exact below 2**53
+    A = D.adj.astype(np.float64)
+    single = np.stack([np.triu(A.T @ A == 1, 1), np.triu(A @ A.T == 1, 1)], -1)
+    return [((int(i), int(j)), "out" if s else "in") for i, j, s in np.argwhere(single)]
 
 
 def diameter(D: Digraph):
@@ -352,24 +341,52 @@ def diameter(D: Digraph):
 
 # === matchings ===
 
-def _augmenting_matching(rows: list[tuple[int, ...]], n_cols: int) -> list[int | None]:
-    """Maximum bipartite matching rows -> columns, deterministic scan order."""
+def _hopcroft_karp(rows: list[list[int]], n_cols: int) -> list[int | None]:
+    """Maximum bipartite matching rows -> columns (iterative Hopcroft-Karp).
+
+    Each phase layers the rows by a BFS from the free rows, then augments
+    along layered paths with an explicit DFS stack, so deep augmenting paths
+    cannot overflow the interpreter's recursion limit.
+    """
+    match_row = [-1] * len(rows)
     match_col = [-1] * n_cols
-    match_row: list[int | None] = [None] * len(rows)
-
-    def try_row(r, seen):
-        for c in rows[r]:
-            if not seen[c]:
-                seen[c] = True
-                if match_col[c] == -1 or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    match_row[r] = c
-                    return True
-        return False
-
-    for r in range(len(rows)):
-        try_row(r, [False] * n_cols)
-    return match_row
+    augmented = True
+    while augmented:
+        free = [r for r, c in enumerate(match_row) if c == -1]
+        layer = [-1] * len(rows)
+        for r in free:
+            layer[r] = 0
+        queue = list(free)
+        for r in queue:  # grows while it is scanned
+            for c in rows[r]:
+                nxt = match_col[c]
+                if nxt != -1 and layer[nxt] == -1:
+                    layer[nxt] = layer[r] + 1
+                    queue.append(nxt)
+        edge = [0] * len(rows)  # next edge to try, per row, for the whole phase
+        augmented = False
+        for root in free:
+            path, into = [root], [-1]  # into[k]: the column leading to path[k]
+            while path:
+                r = path[-1]
+                if edge[r] == len(rows[r]):
+                    layer[r] = -1  # dead end for the rest of this phase
+                    path.pop()
+                    into.pop()
+                    continue
+                c = rows[r][edge[r]]
+                edge[r] += 1
+                nxt = match_col[c]
+                if nxt == -1:
+                    for pr, pc in zip(path, into[1:] + [c]):
+                        match_row[pr] = pc
+                        match_col[pc] = pr
+                    augmented = True
+                    break
+                if layer[nxt] == layer[r] + 1:
+                    path.append(nxt)
+                    into.append(c)
+    return [None if c == -1 else c for c in match_row]
 
 
 @dataclass(frozen=True)
@@ -380,8 +397,8 @@ class TermRank:
 
 def term_rank(D: Digraph) -> TermRank:
     """Size of a maximum row-column matching of the pattern, with one witness."""
-    rows = [D.out_neighbors(i) for i in range(D.n)]
-    match_row = _augmenting_matching(rows, D.n)
+    rows = [np.flatnonzero(row).tolist() for row in D.adj]
+    match_row = _hopcroft_karp(rows, D.n)
     value = sum(1 for c in match_row if c is not None)
     return TermRank(value=value, matching=tuple(match_row))
 
@@ -435,45 +452,52 @@ def perfect_two_matching(D: Digraph) -> TwoMatching | None:
     if D.has_loops():
         raise InputError("perfect_two_matching needs a loop-free graph")
     perm = cycle_factor(D)
-    if perm is None:
-        return None
-    edges, cycles = [], []
-    for cyc in permutation_cycles(perm):
-        if len(cyc) == 2:
-            edges.append((cyc[0], cyc[1]))
-        else:
-            cycles.append(cyc)
-    return TwoMatching(edges=tuple(edges), cycles=tuple(cycles))
+    return None if perm is None else _two_matching(perm)
 
 
-def hall_violations(D: Digraph, max_n: int = 16) -> list[tuple[int, ...]]:
-    """Inclusion-minimal vertex sets S of a graph with |S| > |N(S)|."""
+def _two_matching(perm) -> TwoMatching:
+    """The 2-cycles of a fixed-point-free permutation as edges, the rest as cycles."""
+    cycles = permutation_cycles(perm)
+    return TwoMatching(
+        edges=tuple(c for c in cycles if len(c) == 2),
+        cycles=tuple(c for c in cycles if len(c) > 2),
+    )
+
+
+def _konig_set(D: Digraph, matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rows reached by alternating paths from the first unmatched row, and N of them.
+
+    `matching` must be a maximum row -> column matching of D with an
+    unmatched row.  Every reached column is then matched (or the path to it
+    would augment), so the reached rows S have |N+(S)| = |S| - 1.
+    """
+    row_of = {c: r for r, c in enumerate(matching) if c is not None}
+    reached_rows = [matching.index(None)]
+    reached_cols: set[int] = set()
+    for r in reached_rows:  # grows while it is scanned
+        for c in D.out_neighbors(r):
+            if c not in reached_cols:
+                reached_cols.add(c)
+                reached_rows.append(row_of[c])
+    return tuple(sorted(reached_rows)), tuple(sorted(reached_cols))
+
+
+def hall_violations(D: Digraph) -> list[tuple[int, ...]]:
+    """The inclusion-minimal vertex set S of a graph with |S| > |N(S)|, if any.
+
+    Empty list when Hall's condition holds (term rank n).  Otherwise the
+    König set of a maximum matching: the rows reached by alternating paths
+    from the first unmatched row u.  It is the only minimal violator
+    containing u: a violating subset T must contain u (the matching covers
+    every other row of S), so N(T) is exactly the matched columns of T - {u},
+    and T is closed under the same alternating reach.
+    """
     if not D.is_symmetric():
         raise InputError("hall_violations needs a graph (symmetric adjacency)")
-    if D.n > max_n:
-        raise CapacityError(f"hall_violations capped at {max_n} vertices, got {D.n}")
-    n = D.n
-    nb_mask = [0] * n
-    for v in range(n):
-        m = 0
-        for w in D.out_neighbors(v):
-            m |= 1 << w
-        nb_mask[v] = m
-    minimal_masks: list[int] = []
-    minimal_sets: list[tuple[int, ...]] = []
-    for size in range(1, n + 1):
-        for comb in combinations(range(n), size):
-            smask = 0
-            nmask = 0
-            for v in comb:
-                smask |= 1 << v
-                nmask |= nb_mask[v]
-            if any(m & smask == m for m in minimal_masks):
-                continue
-            if size > bin(nmask).count("1"):
-                minimal_masks.append(smask)
-                minimal_sets.append(comb)
-    return minimal_sets
+    tr = term_rank(D)
+    if tr.value == D.n:
+        return []
+    return [_konig_set(D, tr.matching)[0]]
 
 
 # === vertex/edge connectivity via max-flow ===
@@ -534,7 +558,7 @@ def connectivity_numbers(D: Digraph) -> tuple[int, int]:
         raise InputError("connectivity_numbers needs a graph (symmetric adjacency)")
     if D.n < 3:
         raise InputError("connectivity_numbers needs at least 3 vertices")
-    if _weak_count(D) != 1:
+    if not structure_report(D).weakly_connected:
         raise InputError("connectivity_numbers needs a connected graph")
     n = D.n
     arc_cap = D.adj.astype(np.int64).copy()
@@ -548,37 +572,6 @@ def connectivity_numbers(D: Digraph) -> tuple[int, int]:
             _maxflow(_vertex_flow_network(D, s, t), s + n, t)[0] for s, t in nonadjacent
         )
     return kappa, lam
-
-
-def independent_paths(D: Digraph, s: int, t: int) -> list[list[int]] | None:
-    """Two internally vertex-disjoint s-t paths in a graph, or None."""
-    _check_vertices(D, (s, t))
-    if s == t:
-        raise InputError("endpoints must differ")
-    n = D.n
-    cap = _vertex_flow_network(D, s, t)
-    value, res = _maxflow(cap, s + n, t)
-    if value < 2:
-        return None
-    flow = np.maximum(cap - res, 0)
-    paths = []
-    for _ in range(2):
-        path = [s]
-        node = s + n
-        while node != t:
-            nxt = None
-            for w in np.flatnonzero(flow[node]):
-                w = int(w)
-                nxt = w
-                break
-            flow[node, nxt] -= 1
-            if nxt < n:
-                path.append(nxt)
-                node = nxt + n if nxt != t else nxt
-            else:
-                node = nxt
-        paths.append(path)
-    return paths
 
 
 def hamiltonian_cycle(D: Digraph, limit_n: int = 12) -> list[int] | None:

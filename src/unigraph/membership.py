@@ -17,17 +17,14 @@ import numpy as np
 
 from .digraphs import (
     Digraph,
-    _augmenting_matching,
+    _konig_set,
+    _two_matching,
     add_loops,
     bipartition,
-    connectivity_numbers,
-    cycle_factor,
-    hall_violations,
     hamiltonian_cycle,
     hypercube_graph,
     induced_subgraph_search,
     k33_minus_edge,
-    perfect_two_matching,
     quadrangularity_violations,
     structure_report,
     term_rank,
@@ -113,7 +110,10 @@ def necessary_battery(D: Digraph) -> ConditionReport:
     """Every necessary condition for supporting a unitary, evaluated in order.
 
     Failures carry witnesses; conditions whose premise does not hold (e.g. the
-    graph-only ones on an asymmetric digraph) report not-applicable.
+    graph-only ones on an asymmetric digraph) report not-applicable.  All of
+    them rest on one DFS, one maximum matching and one matrix product: on a
+    graph, Hall's condition, a perfect 2-matching and a perfect matching
+    between the parts each hold iff the term rank is n.
     """
     sr = structure_report(D)
     comp_of = {}
@@ -146,7 +146,7 @@ def necessary_battery(D: Digraph) -> ConditionReport:
             FAIL if bad_bridges else PASS,
             witness={
                 "edges": bad_bridges,
-                "components": [comp_of[e[0]] for e in bad_bridges],
+                "components": list(dict.fromkeys(comp_of[e[0]] for e in bad_bridges)),
             }
             if bad_bridges
             else None,
@@ -158,71 +158,58 @@ def necessary_battery(D: Digraph) -> ConditionReport:
         Condition(
             "cut-vertices-in-k2-components",
             FAIL if bad_cuts else PASS,
-            witness={"vertices": bad_cuts, "components": [comp_of[v] for v in bad_cuts]}
+            witness={"vertices": bad_cuts, "components": list(dict.fromkeys(comp_of[v] for v in bad_cuts))}
             if bad_cuts
             else None,
         )
     )
 
     tr = term_rank(D)
+    full = tr.value == D.n
     conds.append(
         Condition(
             "term-rank",
-            PASS if tr.value == D.n else FAIL,
+            PASS if full else FAIL,
             witness={"term_rank": tr.value, "n": D.n},
         )
     )
 
-    cf = cycle_factor(D)
     conds.append(
         Condition(
             "cycle-factor",
-            PASS if cf is not None else FAIL,
-            witness={"permutation": cf} if cf is not None else {"term_rank": tr.value},
+            PASS if full else FAIL,
+            witness={"permutation": tr.matching} if full else {"term_rank": tr.value},
         )
     )
 
     symmetric = sr.is_symmetric
     if symmetric and not D.has_loops():
-        tm = perfect_two_matching(D)
-        unmatched = [v for v, c in enumerate(tr.matching) if c is None]
-        conds.append(
-            Condition(
-                "perfect-two-matching",
-                PASS if tm is not None else FAIL,
-                witness={"edges": tm.edges, "cycles": tm.cycles}
-                if tm is not None
-                else {"unmatched": unmatched},
-            )
-        )
+        if full:
+            tm = _two_matching(tr.matching)
+            witness = {"edges": tm.edges, "cycles": tm.cycles}
+        else:
+            witness = {"unmatched": [v for v, c in enumerate(tr.matching) if c is None]}
+        conds.append(Condition("perfect-two-matching", PASS if full else FAIL, witness=witness))
     else:
         conds.append(Condition("perfect-two-matching", NOT_APPLICABLE))
 
-    if symmetric and D.n <= 16:
-        hv = hall_violations(D)
-        conds.append(
-            Condition(
-                "hall-condition",
-                FAIL if hv else PASS,
-                witness={"set": hv[0], "neighborhood": sorted(set().union(*(D.out_neighbors(v) for v in hv[0])))}
-                if hv
-                else None,
-            )
-        )
-    elif symmetric:
-        conds.append(
-            Condition("hall-condition", NOT_APPLICABLE, witness={"note": "beyond subset-enumeration cap"})
-        )
+    if symmetric:
+        if full:
+            witness = None
+        else:
+            hall_set, hall_nbrs = _konig_set(D, tr.matching)
+            witness = {"set": hall_set, "neighborhood": list(hall_nbrs)}
+        conds.append(Condition("hall-condition", PASS if full else FAIL, witness=witness))
     else:
         conds.append(Condition("hall-condition", NOT_APPLICABLE))
 
     if symmetric and sr.weakly_connected and D.n >= 3:
-        kappa, lam = connectivity_numbers(D)
+        # connected and n >= 3: no cut vertex <=> vertex and edge connectivity >= 2
         conds.append(
             Condition(
                 "two-connected",
-                PASS if kappa >= 2 and lam >= 2 else FAIL,
-                witness={"vertex_connectivity": kappa, "edge_connectivity": lam},
+                FAIL if sr.cut_vertices else PASS,
+                witness={"cut_vertices": sr.cut_vertices},
             )
         )
     else:
@@ -231,19 +218,16 @@ def necessary_battery(D: Digraph) -> ConditionReport:
     parts = bipartition(D) if symmetric else None
     if parts is not None:
         p0, p1 = parts
-        pos = {v: i for i, v in enumerate(p1)}
-        rows = [tuple(pos[w] for w in D.out_neighbors(v)) for v in p0]
-        match = _augmenting_matching(rows, len(p1))
-        size = sum(1 for c in match if c is not None)
-        ok = len(p0) == len(p1) and size == len(p0)
-        unmatched = [p0[r] for r, c in enumerate(match) if c is None]
         conds.append(
             Condition(
                 "bipartite-perfect-matching",
-                PASS if ok else FAIL,
+                PASS if full else FAIL,
                 witness=None
-                if ok
-                else {"part_sizes": (len(p0), len(p1)), "unmatched": unmatched},
+                if full
+                else {
+                    "part_sizes": (len(p0), len(p1)),
+                    "unmatched": [v for v in p0 if tr.matching[v] is None],
+                },
             )
         )
     else:

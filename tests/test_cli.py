@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,22 @@ def test_analyze_exit_codes(tmp_path, capsys):
     code, report, _ = run_json(capsys, ["analyze", "--in", c4])
     assert code == 2
     assert report["payload"]["verdict"] == "undecided"
+
+
+def test_analyze_long_chains(tmp_path, capsys):
+    # a 1500-vertex chain once took minutes, then crashed on recursion depth
+    for D, first in ((ug.path_graph(1500), "quadrangularity"), (ug.directed_path(1500), "no-directed-bridges")):
+        path = write_digraph(tmp_path, "chain.txt", D)
+        started = time.perf_counter()
+        code, report, _ = run_json(capsys, ["analyze", "--in", path])
+        assert time.perf_counter() - started < 30
+        assert code == 1
+        conds = report["payload"]["battery"]["conditions"]
+        assert next(c for c in conds if c["status"] == "fail")["name"] == first
+        # each offending component is listed once, not once per cut vertex
+        cuts = next(c for c in conds if c["name"] == "cut-vertices-in-k2-components")
+        assert len(cuts["witness"]["vertices"]) == 1498
+        assert cuts["witness"]["components"] == [list(range(1500))]
 
 
 def test_usage_and_io_errors(tmp_path, capsys):

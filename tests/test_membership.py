@@ -106,6 +106,9 @@ def test_battery_term_rank_and_cycle_factor():
     assert by["term-rank"].witness["term_rank"] == 2
     assert by["cycle-factor"].status == "fail"
     assert by["hall-condition"].status == "fail"
+    # beyond 16 vertices Hall's condition is still decided, by the same matching
+    assert necessary_battery(ug.star_graph(19))["hall-condition"].status == "fail"
+    assert necessary_battery(ug.hypercube_graph(5))["hall-condition"].status == "pass"
 
 
 def test_certify_directed_cycles():
