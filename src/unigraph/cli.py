@@ -2,7 +2,9 @@
 
 Every command emits a run report (JSON by default, a short text summary with
 --format text) and exits with: 0 success/certified, 1 excluded, 2 undecided,
-3 usage/parse/input error, 4 capacity exceeded.
+3 usage/parse/input error, 4 capacity exceeded, 5 internal error (a failed
+self-check or any unexpected exception, reported on one stderr line, so that
+a crash never reads as "excluded").
 """
 from __future__ import annotations
 
@@ -485,26 +487,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 # === entry point ===
 
+def _one_line(exc: BaseException) -> str:
+    return " ".join(str(exc).split()) or type(exc).__name__
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
-        result = _HANDLERS[args.verb](args)
+        return _run(argv)
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return code if isinstance(code, int) else 0
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InputError, InternalError) as exc:
+    except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InternalError as exc:
+        print(f"error: internal: {_one_line(exc)}", file=sys.stderr)
+        return 5
+    except Exception as exc:
+        print(f"error: unexpected {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
+        return 5
 
+
+def _run(argv: list[str]) -> int:
+    parser = build_parser()
+    started = time.perf_counter()
+    args = parser.parse_args(argv)
+    result = _HANDLERS[args.verb](args)
     report = {
         "schema": 1,
         "tool": {"name": "unigraph", "version": __version__},
@@ -518,8 +530,7 @@ def main(argv=None) -> int:
         try:
             Path(args.out).write_text(json.dumps(artifact, sort_keys=True, indent=2) + "\n")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 3
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     if args.format == "text":
         print("\n".join(result.summary))
     else:

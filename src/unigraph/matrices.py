@@ -146,26 +146,12 @@ def block_double(a, tol: float = 1e-8) -> np.ndarray:
 def nearest_unitary(m) -> np.ndarray:
     """Unitary polar factor of m (the closest unitary in Frobenius norm).
 
-    Scaled Newton iteration X <- (mu X + (mu X)^-†)/2; on singular input,
-    stall, or divergence, falls back to the singular-value factorization.
+    From the singular-value factorization m = U·S·V† it is U·V†, so that
+    U·V† times the Hermitian V·S·V† gives back m.  The same formula serves
+    singular input, where it is one of several nearest unitaries.
     """
-    x = _square(m).astype(np.complex128)
-    n = x.shape[0]
-    try:
-        for _ in range(100):
-            inv = np.linalg.inv(x)
-            mu = math.sqrt(np.linalg.norm(inv, "fro") / np.linalg.norm(x, "fro"))
-            nxt = 0.5 * (mu * x + inv.conj().T / mu)
-            if not np.isfinite(nxt).all():
-                raise np.linalg.LinAlgError("iteration diverged")
-            step = np.linalg.norm(nxt - x, "fro")
-            x = nxt
-            if step <= 1e-14 * n:
-                return x
-        raise np.linalg.LinAlgError("iteration stalled")
-    except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError):
-        u, _, vh = np.linalg.svd(_square(m).astype(np.complex128))
-        return u @ vh
+    u, _, vh = np.linalg.svd(_square(m).astype(np.complex128))
+    return u @ vh
 
 
 @dataclass(frozen=True)

@@ -238,12 +238,16 @@ def necessary_battery(D: Digraph) -> ConditionReport:
 
 # === constructive certificates ===
 
-def _line_digraph_certificate(D: Digraph) -> Certificate | None:
-    """DFT-per-block certificate for regular, strongly connected line digraphs."""
+def _line_digraph_certificate(D: Digraph) -> tuple[str, np.ndarray] | None:
+    """DFT-per-block matrix for regular line digraphs.
+
+    In a d-regular line digraph each row class holds exactly d rows, and its
+    support is d columns whose own supports are that same class, so the
+    blocks are full d x d and disjoint in rows and columns.  DFT(d) in every
+    block is then unitary, connected or not.
+    """
     d = D.is_regular()
     if not d:
-        return None
-    if not structure_report(D).strongly_connected:
         return None
     if not recognize_line_digraph(D).is_line_digraph:
         return None
@@ -255,7 +259,7 @@ def _line_digraph_certificate(D: Digraph) -> Certificate | None:
                 f"line-digraph block is {len(rows)}x{len(cols)} in a {d}-regular digraph"
             )
         u[np.ix_(rows, cols)] = f
-    return Certificate("line-digraph-dft", u, unitarity_residual(u), True)
+    return "line-digraph-dft", u
 
 
 _V3 = np.array(
@@ -274,26 +278,19 @@ def _k33_minus_edge_matrix() -> np.ndarray:
     return u
 
 
-def _registry_certificate(D: Digraph) -> Certificate | None:
+def _registry_certificate(D: Digraph) -> tuple[str, np.ndarray] | None:
     """Hand-registered patterns with known realizations."""
     n = D.n
-    if n == 2:
-        if np.array_equal(D.adj, _K2):
-            m = np.array([[0.0, 1.0], [1.0, 0.0]])
-            return Certificate("explicit", m.astype(np.complex128), unitarity_residual(m), True)
-        if np.array_equal(D.adj, _K2_LOOPED):
-            m = dft(2)
-            return Certificate("explicit", m, unitarity_residual(m), True)
     if n >= 4 and (n & (n - 1)) == 0:
         k = n.bit_length() - 1
         if 2 <= k <= 12:
             cube = hypercube_graph(k)
             if D == cube:
                 m = hypercube_weighing(k) / math.sqrt(k)
-                return Certificate("weighing", m.astype(np.complex128), unitarity_residual(m), True)
+                return "weighing", m.astype(np.complex128)
             if D == add_loops(cube):
                 m = hypercube_weighing(k, loops=True) / math.sqrt(k + 1)
-                return Certificate("weighing", m.astype(np.complex128), unitarity_residual(m), True)
+                return "weighing", m.astype(np.complex128)
     if n == 6 and not D.has_loops() and D.is_symmetric():
         fixture = k33_minus_edge()
         if sorted(D.adj.sum(axis=1)) == sorted(fixture.adj.sum(axis=1)):
@@ -304,42 +301,46 @@ def _registry_certificate(D: Digraph) -> Certificate | None:
                 for a in range(6):
                     for b in range(6):
                         u[f[a], f[b]] = uh[a, b]
-                return Certificate("explicit", u.astype(np.complex128), unitarity_residual(u), True)
+                return "explicit", u.astype(np.complex128)
     return None
 
 
-def _verify_certificate(D: Digraph, cert: Certificate, cfg: SolverConfig) -> None:
-    """A constructed certificate that fails its own claim is a bug, never silence."""
-    residual = unitarity_residual(cert.matrix)
+def _verify_certificate(D: Digraph, kind: str, matrix: np.ndarray, cfg: SolverConfig) -> Certificate:
+    """Measure a constructed matrix once and release it as a certificate.
+
+    A matrix that fails its own claim is a bug, never silence.
+    """
+    residual = unitarity_residual(matrix)
     if residual > cfg.tol:
         raise InternalError(
-            f"{cert.kind} certificate has unitarity residual {residual:.3e} > tol {cfg.tol:.1e}"
+            f"{kind} certificate has unitarity residual {residual:.3e} > tol {cfg.tol:.1e}"
         )
-    if support(cert.matrix, cfg.min_magnitude) != D:
-        raise InternalError(f"{cert.kind} certificate support does not match the input digraph")
+    if support(matrix, cfg.min_magnitude) != D:
+        raise InternalError(f"{kind} certificate support does not match the input digraph")
+    return Certificate(kind, matrix, residual, True)
 
 
 def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     """Decide membership as far as the toolbox can: battery, constructions, solver.
 
     Order: necessary battery (excluded on any failure); DFT blocks for regular
-    strongly connected line digraphs; the registry of known constructions;
-    alternating projection.  Every certificate is re-verified before release.
+    line digraphs; the registry of known constructions; alternating
+    projection.  Every certificate is verified before release.
     """
     cfg = cfg or SolverConfig()
     battery = necessary_battery(D)
     if battery.verdict == "excluded":
         first = battery.first_failure
         return CertifyOutcome("excluded", battery, None, first.name)
-    cert = _line_digraph_certificate(D) or _registry_certificate(D)
-    if cert is None:
+    built = _line_digraph_certificate(D) or _registry_certificate(D)
+    if built is None:
         m = alternating_projection(D, cfg)
         if m is not None:
-            cert = Certificate("numerical", m, unitarity_residual(m), True)
-    if cert is None:
+            built = ("numerical", m)
+    if built is None:
         return CertifyOutcome("undecided", battery, None, "no realization found within budget")
-    _verify_certificate(D, cert, cfg)
-    return CertifyOutcome("certified", battery, cert, None)
+    kind, matrix = built
+    return CertifyOutcome("certified", battery, _verify_certificate(D, kind, matrix, cfg), None)
 
 
 # === numerical realization ===
@@ -352,7 +353,8 @@ def alternating_projection(target: Digraph, cfg: SolverConfig | None = None) -> 
 
     Each restart draws a random complex matrix on the allowed entries and
     alternates: project to the nearest unitary (polar factor), zero the
-    forbidden entries, renormalize.  Success requires unitarity residual
+    forbidden entries.  The polar factor ignores positive scaling, so the
+    iterate is never renormalized.  Success requires unitarity residual
     <= tol with every required entry above the magnitude floor; a run whose
     support collapses restarts.  Restart r uses seed^r; the first success by
     restart index is returned, so results are reproducible and identical to
@@ -363,19 +365,17 @@ def alternating_projection(target: Digraph, cfg: SolverConfig | None = None) -> 
     mask = target.adj.astype(np.float64)
     required = target.adj.astype(bool)
     n = target.n
-    scale = math.sqrt(n)
     for r in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed ^ r)
         x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * mask
         best = np.inf
         stall = 0
         for _ in range(cfg.max_iter):
-            u = nearest_unitary(x)
-            z = u * mask
-            res = unitarity_residual(z)
+            x = nearest_unitary(x) * mask
+            res = unitarity_residual(x)
             if res <= cfg.tol:
-                if (np.abs(z)[required] > cfg.min_magnitude).all():
-                    return z
+                if (np.abs(x)[required] > cfg.min_magnitude).all():
+                    return x
                 break  # unitary found, but on a proper subpattern: restart
             if res < best - 1e-12:
                 best = res
@@ -384,10 +384,8 @@ def alternating_projection(target: Digraph, cfg: SolverConfig | None = None) -> 
                 stall += 1
                 if stall >= _STALL_WINDOW:
                     break
-            norm = np.linalg.norm(z, "fro")
-            if norm < 1e-12:
+            if np.linalg.norm(x, "fro") < 1e-12:
                 break
-            x = z * (scale / norm)
     return None
 
 

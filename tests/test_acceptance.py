@@ -48,7 +48,7 @@ def test_criterion_01_z4_certificate():
     out = certify(D)
     assert out.status == "certified"
     assert out.certificate.residual < 1e-8
-    check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+    assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
 
     u = np.array(
         [[0, 1, 1, 1], [1, 0, -1, 1], [1, 1, 0, -1], [1, -1, 1, 0]], dtype=np.float64
@@ -78,7 +78,7 @@ def test_criterion_02_hypercube_weighings():
     assert out.status == "certified"
     assert out.certificate.kind == "weighing"
     assert out.certificate.residual < 1e-12
-    check_certificate(ug.hypercube_graph(3), out.certificate.matrix, 1e-12, 1e-6)
+    assert check_certificate(ug.hypercube_graph(3), out.certificate.matrix, 1e-12, 1e-6)
     print(
         "criterion 2: pass - exact integer weighings for k=2..6, "
         f"Q3 certificate residual {out.certificate.residual:.2e}"
@@ -175,7 +175,7 @@ def test_criterion_03_battery_corpus():
             for u, v in rep["bridges-in-k2-components"].witness["edges"]:
                 assert not _edge_in_k2_component(D, u, v)
         if out.status == "certified":
-            check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+            assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
 
     assert bridged >= 40  # the grafted pendants alone guarantee this
     assert tallies["excluded"] >= bridged
@@ -184,7 +184,7 @@ def test_criterion_03_battery_corpus():
     for D in (k2, ug.add_loops(k2)):
         out = certify(D, FAST)
         assert out.status == "certified"
-        check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+        assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
 
     print(
         f"criterion 3: pass - corpus of 200: {tallies['certified']} certified "
@@ -213,7 +213,7 @@ def test_criterion_04_coset_route_end_to_end():
         assert out.status == "certified"
         assert out.certificate.kind == "line-digraph-dft"
         assert out.certificate.residual < 1e-10
-        check_certificate(X, out.certificate.matrix, 1e-10, 1e-6)
+        assert check_certificate(X, out.certificate.matrix, 1e-10, 1e-6)
         details.append(f"{group_spec} (|T|={len(T)}, res {out.certificate.residual:.1e})")
     print("criterion 4: pass - " + "; ".join(details))
 
@@ -363,7 +363,7 @@ def test_criterion_09_survey_through_six_vertices():
 
     out = certify(target, FAST)
     assert out.status == "certified" and out.certificate.kind == "explicit"
-    check_certificate(target, out.certificate.matrix, 1e-10, 1e-6)
+    assert check_certificate(target, out.certificate.matrix, 1e-10, 1e-6)
     assert induced_subgraph_search(target, ug.claw_graph()) is not None
     assert hamiltonian_cycle(target) is not None
 

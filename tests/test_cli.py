@@ -5,7 +5,7 @@ import time
 import pytest
 
 import unigraph as ug
-from unigraph import ParseError
+from unigraph import InternalError, ParseError
 from unigraph.cli import main, parse_digraph
 from unigraph.matrices import matrix_from_jsonable, weighing_weight
 
@@ -129,6 +129,21 @@ def test_usage_and_io_errors(tmp_path, capsys):
 
     code, out, err = run(capsys, ["cayley", "--group", "Q:8", "--gens", "1"])
     assert code == 3 and err
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a failed self-check or a crash must not exit 1, which reads as "excluded"
+    c4 = write_digraph(tmp_path, "c4.txt", ug.cycle_graph(4))
+    for exc in (InternalError("certificate failed\nits own check"), RuntimeError("boom")):
+        def broken(D, cfg, exc=exc):
+            raise exc
+
+        monkeypatch.setattr("unigraph.cli.certify", broken)
+        code, out, err = run(capsys, ["certify", "--in", c4])
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
 
 
 def test_capacity_exit_code(tmp_path, capsys):

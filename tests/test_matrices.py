@@ -103,12 +103,26 @@ def test_nearest_unitary():
         # agrees with the SVD polar factor
         uu, _, vh = np.linalg.svd(x)
         assert np.allclose(u, uu @ vh, atol=1e-8)
-    # rank-deficient input still lands on a unitary (fallback path)
+    # rank-deficient input still lands on a unitary
     x = np.zeros((3, 3))
     x[0, 0] = 1.0
     assert unitarity_residual(nearest_unitary(x)) < 1e-12
     v = nearest_unitary(dft(5))
     assert np.allclose(v, dft(5), atol=1e-12)
+    # the definition, checked without another factorization: x = u h with u
+    # unitary and h = u† x Hermitian with nonnegative eigenvalues
+    sizes = [1, 2, 5, 16, 33, 64]
+    inputs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in sizes]
+    low_rank = rng.standard_normal((64, 3)) @ rng.standard_normal((3, 64))
+    inputs += [low_rank, -3.0 * np.eye(4), dft(8) * 5.0]
+    for x in inputs:
+        u = nearest_unitary(x)
+        scale = max(1.0, float(np.abs(x).max()))
+        eye = np.eye(x.shape[0])
+        assert np.abs(u.conj().T @ u - eye).max() < 1e-10
+        h = u.conj().T @ x
+        assert np.abs(h - h.conj().T).max() < 1e-10 * scale * x.shape[0]
+        assert np.linalg.eigvalsh((h + h.conj().T) / 2).min() > -1e-10 * scale * x.shape[0]
 
 
 def test_permutation_basics():

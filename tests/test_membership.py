@@ -111,12 +111,29 @@ def test_battery_term_rank_and_cycle_factor():
     assert necessary_battery(ug.hypercube_graph(5))["hall-condition"].status == "pass"
 
 
+def disjoint_union(*parts):
+    n = sum(D.n for D in parts)
+    a = np.zeros((n, n), dtype=np.int8)
+    at = 0
+    for D in parts:
+        a[at:at + D.n, at:at + D.n] = D.adj
+        at += D.n
+    return Digraph(a)
+
+
 def test_certify_directed_cycles():
-    for n in (2, 3, 5, 8):
-        out = certify(ug.directed_cycle(n), FAST)
+    looped_k2 = ug.add_loops(ug.cycle_graph(2))
+    # disconnected regular line digraphs get DFT blocks too
+    unions = (
+        disjoint_union(ug.directed_cycle(3), ug.directed_cycle(2)),
+        disjoint_union(ug.cycle_graph(4), ug.cycle_graph(4)),
+        disjoint_union(looped_k2, looped_k2, looped_k2),
+    )
+    for D in [ug.directed_cycle(n) for n in (2, 3, 5, 8)] + list(unions):
+        out = certify(D, FAST)
         assert out.status == "certified"
         assert out.certificate.kind == "line-digraph-dft"
-        check_certificate(ug.directed_cycle(n), out.certificate.matrix, 1e-8, 1e-6)
+        assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
 
 
 def test_certify_excluded():
@@ -135,7 +152,7 @@ def test_certify_k2_registry():
     looped = ug.add_loops(ug.cycle_graph(2))
     out = certify(looped, FAST)
     assert out.status == "certified"
-    check_certificate(looped, out.certificate.matrix, 1e-8, 1e-6)
+    assert check_certificate(looped, out.certificate.matrix, 1e-8, 1e-6)
 
 
 def test_certify_numerical_j4():
@@ -144,7 +161,7 @@ def test_certify_numerical_j4():
     assert out.status == "certified"
     assert out.certificate.kind == "numerical"
     assert out.certificate.residual <= 1e-8
-    check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+    assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
 
 
 def test_certify_undecided_on_tiny_budget():
@@ -159,12 +176,12 @@ def test_certify_hypercube_routes():
     q3 = ug.hypercube_graph(3)
     out = certify(q3, FAST)
     assert out.status == "certified" and out.certificate.kind == "weighing"
-    check_certificate(q3, out.certificate.matrix, 1e-12, 1e-6)
+    assert check_certificate(q3, out.certificate.matrix, 1e-12, 1e-6)
 
     looped = ug.add_loops(q3)
     out = certify(looped, FAST)
     assert out.status == "certified" and out.certificate.kind == "weighing"
-    check_certificate(looped, out.certificate.matrix, 1e-12, 1e-6)
+    assert check_certificate(looped, out.certificate.matrix, 1e-12, 1e-6)
 
 
 def test_certify_k33_minus_edge_relabeled():
@@ -177,7 +194,7 @@ def test_certify_k33_minus_edge_relabeled():
     D = Digraph(adj)
     out = certify(D, FAST)
     assert out.status == "certified" and out.certificate.kind == "explicit"
-    check_certificate(D, out.certificate.matrix, 1e-10, 1e-6)
+    assert check_certificate(D, out.certificate.matrix, 1e-10, 1e-6)
 
 
 def test_alternating_projection_determinism():
@@ -195,7 +212,7 @@ def test_alternating_projection_permutation_support():
     D = ug.directed_cycle(6)
     m = alternating_projection(D, SolverConfig(restarts=1, max_iter=200))
     assert m is not None
-    check_certificate(D, m, 1e-8, 1e-6)
+    assert check_certificate(D, m, 1e-8, 1e-6)
 
 
 def test_alternating_projection_small_budget_returns_none():
