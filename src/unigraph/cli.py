@@ -172,7 +172,6 @@ def _cmd_certify(args) -> CommandResult:
         cert = {
             "kind": out.certificate.kind,
             "residual": out.certificate.residual,
-            "support_match": out.certificate.support_match,
             "matrix": matrix_to_jsonable(out.certificate.matrix),
         }
     payload = {

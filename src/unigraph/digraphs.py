@@ -61,7 +61,7 @@ class Digraph:
             raise InputError(f"adjacency must be a square matrix, got shape {raw.shape}")
         if raw.shape[0] < 1:
             raise InputError("a digraph needs at least one vertex")
-        if not np.isin(raw, (0, 1)).all():
+        if not ((raw == 0) | (raw == 1)).all():
             raise InputError("adjacency entries must be 0 or 1")
         adj = raw.astype(np.int8)
         adj.setflags(write=False)

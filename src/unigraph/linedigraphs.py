@@ -3,9 +3,12 @@
 The line digraph L(B) has one vertex per arc of B and an arc (a, b)
 exactly when the head of a is the tail of b.  Recognition relies on the
 pattern test: D is a line digraph iff any two rows of its adjacency
-matrix are identical or have disjoint support, and likewise any two
-columns.  Grouping rows/columns by support and matching the groups
-recovers a base whose line digraph is D vertex-for-vertex.
+matrix are identical or have disjoint support.  Recognition and the block
+split both rest on one grouping of the rows by support and one check of
+the nonzero entries against it; each row class with its support is one
+base vertex, so the grouping recovers a base whose line digraph is D
+vertex-for-vertex.  Construction compares the heads and tails of one arc
+listing.
 """
 from __future__ import annotations
 
@@ -55,14 +58,17 @@ class Multidigraph:
     def arc_count(self) -> int:
         return int(self._mult.sum())
 
+    def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tails, heads and copy numbers of every arc, by tail, then head, then copy."""
+        tails, heads = np.nonzero(self._mult)
+        counts = self._mult[tails, heads]
+        starts = np.cumsum(counts) - counts
+        copies = np.arange(int(counts.sum())) - np.repeat(starts, counts)
+        return np.repeat(tails, counts), np.repeat(heads, counts), copies
+
     def arcs(self) -> list[tuple[int, int, int]]:
         """(tail, head, copy) triples, ordered by tail, then head, then copy."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                for c in range(int(self._mult[i, j])):
-                    out.append((i, j, c))
-        return out
+        return list(zip(*(x.tolist() for x in self._arc_arrays())))
 
     def __eq__(self, other):
         return isinstance(other, Multidigraph) and np.array_equal(self._mult, other._mult)
@@ -85,16 +91,11 @@ def line_digraph(B: Multidigraph) -> LineDigraphResult:
     Parallel arcs give rise to distinct L-vertices with identical rows and
     columns; a loop at v yields an L-vertex with a loop.
     """
-    labels = B.arcs()
-    if not labels:
+    tails, heads, copies = B._arc_arrays()
+    if not tails.size:
         raise InputError("line digraph of an arcless multidigraph is empty")
-    m = len(labels)
-    a = np.zeros((m, m), dtype=np.int8)
-    for p, (_, head, _) in enumerate(labels):
-        for q, (tail, _, _) in enumerate(labels):
-            if head == tail:
-                a[p, q] = 1
-    return LineDigraphResult(digraph=Digraph(a), labels=tuple(labels))
+    labels = tuple(zip(tails.tolist(), heads.tolist(), copies.tolist()))
+    return LineDigraphResult(digraph=Digraph(heads[:, None] == tails[None, :]), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,9 @@ class RecognitionResult:
     correspondence, checkable without any isomorphism search.
 
     On failure `base` is None and `witness` is ("row", i, j) for two rows
-    that overlap without being identical, or ("column", i, j) likewise.
+    that overlap without being identical.  Two columns can overlap without
+    being identical only when two rows do, so the "column" kind, which the
+    type still admits, never occurs.
     """
 
     base: Multidigraph | None
@@ -119,29 +122,36 @@ class RecognitionResult:
         return self.witness is None
 
 
-def _support_classes(A: np.ndarray):
-    """Group indices of equal nonzero rows of A; returns (classes, class_of_row).
+def _support_classes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class id of every row of A, and the first row of every class.
 
-    Zero rows belong to no class (class_of_row = -1).  Classes are ordered
-    by their smallest member.
+    Equal nonzero rows share an id; ids are numbered by first member and
+    zero rows get -1.  Rows are keyed by their bytes.
     """
-    n = A.shape[0]
-    key_to_class: dict[bytes, int] = {}
-    classes: list[list[int]] = []
-    class_of = [-1] * n
-    for i in range(n):
-        row = A[i]
-        if not row.any():
-            continue
-        key = row.tobytes()
-        c = key_to_class.get(key)
-        if c is None:
-            c = len(classes)
-            key_to_class[key] = c
-            classes.append([])
-        classes[c].append(i)
+    raw = A.tobytes()
+    width = A.shape[1] * A.itemsize
+    ids: dict[bytes, int] = {}
+    class_of = np.full(A.shape[0], -1)
+    firsts: list[int] = []
+    for i in np.flatnonzero(A.any(axis=1)).tolist():
+        c = ids.setdefault(raw[i * width:(i + 1) * width], len(ids))
+        if c == len(firsts):
+            firsts.append(i)
         class_of[i] = c
-    return classes, class_of
+    return class_of, np.array(firsts, dtype=np.int64)
+
+
+def _conflict(A: np.ndarray, class_of: np.ndarray) -> tuple[int, int] | None:
+    """The first column of A whose rows lie in two classes, if any.
+
+    Returns that column's first row and its first row of another class.
+    """
+    cols, rows = np.nonzero(A.T)
+    first = A.argmax(axis=0)[cols]
+    bad = np.flatnonzero(class_of[rows] != class_of[first])
+    if not bad.size:
+        return None
+    return int(first[bad[0]]), int(rows[bad[0]])
 
 
 def recognize_line_digraph(D: Digraph) -> RecognitionResult:
@@ -149,73 +159,36 @@ def recognize_line_digraph(D: Digraph) -> RecognitionResult:
 
     In a line digraph the row of a vertex (an arc of B) is determined by the
     arc's head and the column by its tail, so rows sharing a column must be
-    identical, and dually.  When those two checks pass, row classes and
-    column classes pair up (the support of a row class is exactly one column
-    class); each pair becomes one base vertex.  Vertices with a zero row are
-    arcs into a common fresh sink, those with a zero column arcs out of a
-    common fresh source; merging them is harmless because no line-digraph
-    arc ever depends on the head of a sink or the tail of a source.
+    identical.  That one check suffices: if it passes, two columns sharing a
+    row both lie in that row's support, so their rows are the same class and
+    they are identical too.  Each row class and its support then stand for
+    one base vertex: the common head of the class, the common tail of the
+    support's columns.  Vertices with a zero row are arcs into a common fresh
+    sink, those with a zero column arcs out of a common fresh source; merging
+    them is harmless because no line-digraph arc ever depends on the head of
+    a sink or the tail of a source.
 
-    Base vertices from matched pairs are ordered by the smallest D-vertex
+    Base vertices from row classes are ordered by the smallest D-vertex
     involved; the source and sink, when present, come last.
     """
     A = D.adj
-    n = D.n
+    row_of, firsts = _support_classes(A)
+    conflict = _conflict(A, row_of)
+    if conflict is not None:
+        return RecognitionResult(base=None, vertex_arcs=(), witness=("row", *conflict))
 
-    row_classes, row_of = _support_classes(A)
-    col_classes, col_of = _support_classes(np.ascontiguousarray(A.T))
-
-    for j in range(n):
-        rows = [int(i) for i in np.flatnonzero(A[:, j])]
-        if len({row_of[i] for i in rows}) > 1:
-            first = rows[0]
-            other = next(i for i in rows if row_of[i] != row_of[first])
-            return RecognitionResult(base=None, vertex_arcs=(), witness=("row", first, other))
-    for i in range(n):
-        cols = [int(j) for j in np.flatnonzero(A[i])]
-        if len({col_of[j] for j in cols}) > 1:
-            first = cols[0]
-            other = next(j for j in cols if col_of[j] != col_of[first])
-            return RecognitionResult(base=None, vertex_arcs=(), witness=("column", first, other))
-
-    # With both checks passed, the support of each row class is exactly the
-    # member set of one column class, and the map row class -> column class
-    # is a bijection; the pair stands for one base vertex (the common head
-    # of the row class = the common tail of the column class).
-    pairs = []
-    for rc, members in enumerate(row_classes):
-        j = int(np.flatnonzero(A[members[0]])[0])
-        cc = col_of[j]
-        smallest = min(members[0], col_classes[cc][0])
-        pairs.append((smallest, rc, cc))
-    pairs.sort()
-
-    head_of = [-1] * n
-    tail_of = [-1] * n
-    for u, (_, rc, cc) in enumerate(pairs):
-        for v in row_classes[rc]:
-            head_of[v] = u
-        for v in col_classes[cc]:
-            tail_of[v] = u
-
-    b = len(pairs)
-    source = sink = None
-    if any(t == -1 for t in tail_of):
-        source = b
-        b += 1
-    if any(h == -1 for h in head_of):
-        sink = b
-        b += 1
-    for v in range(n):
-        if tail_of[v] == -1:
-            tail_of[v] = source
-        if head_of[v] == -1:
-            head_of[v] = sink
-
-    mult = np.zeros((b, b), dtype=np.int64)
-    for v in range(n):
-        mult[tail_of[v], head_of[v]] += 1
-    vertex_arcs = tuple((tail_of[v], head_of[v]) for v in range(n))
+    k = len(firsts)
+    vertex = np.empty(k, dtype=np.int64)
+    vertex[np.argsort(np.minimum(firsts, A.argmax(axis=1)[firsts]), kind="stable")] = np.arange(k)
+    col_of = np.where(A.any(axis=0), row_of[A.argmax(axis=0)], -1)
+    source = k
+    sink = source + int((col_of < 0).any())
+    b = sink + int((row_of < 0).any())
+    # class -1 (a zero column or row) looks up the fresh source or sink
+    tail_of = np.append(vertex, source)[col_of]
+    head_of = np.append(vertex, sink)[row_of]
+    mult = np.bincount(tail_of * b + head_of, minlength=b * b).reshape(b, b)
+    vertex_arcs = tuple(zip(tail_of.tolist(), head_of.tolist()))
     return RecognitionResult(base=Multidigraph(mult), vertex_arcs=vertex_arcs, witness=None)
 
 
@@ -226,28 +199,35 @@ class BlockDecomposition:
     blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
+def _full_blocks(A: np.ndarray) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
+    """Each row class of A against its first row's support.
+
+    None when two rows overlap without being equal; otherwise every column
+    of a class's support has exactly that class as its rows, so the blocks
+    are full and disjoint in rows and columns.
+    """
+    class_of, firsts = _support_classes(A)
+    if _conflict(A, class_of) is not None:
+        return None
+    members: list[list[int]] = [[] for _ in firsts]
+    for i, c in enumerate(class_of.tolist()):
+        if c >= 0:
+            members[c].append(i)
+    return tuple(
+        (tuple(rows), tuple(np.flatnonzero(A[f]).tolist())) for rows, f in zip(members, firsts.tolist())
+    )
+
+
 def independent_full_submatrices(D: Digraph) -> BlockDecomposition:
     """Split the pattern into fully-populated blocks with disjoint rows and columns.
 
     Rows with equal support form a block against that common support.  This
-    succeeds exactly when any two rows are identical or support-disjoint and
-    every column's support is a whole row class; otherwise the offending
-    entry is reported.
+    succeeds exactly when any two rows are identical or support-disjoint.
     """
-    A = D.adj
-    row_classes, _ = _support_classes(A)
-    blocks = []
-    for members in row_classes:
-        cols = tuple(int(j) for j in np.flatnonzero(A[members[0]]))
-        rows = tuple(members)
-        row_set = set(rows)
-        for j in cols:
-            col_support = {int(i) for i in np.flatnonzero(A[:, j])}
-            if col_support != row_set:
-                bad = min(col_support ^ row_set)
-                raise InputError(
-                    "pattern does not split into independent full blocks: "
-                    f"entry ({bad}, {j}) breaks the block of rows {rows}"
-                )
-        blocks.append((rows, cols))
-    return BlockDecomposition(blocks=tuple(blocks))
+    blocks = _full_blocks(D.adj)
+    if blocks is None:
+        raise InputError(
+            "pattern does not split into independent full blocks: "
+            "two rows overlap without being equal"
+        )
+    return BlockDecomposition(blocks=blocks)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -30,7 +31,7 @@ from .digraphs import (
     term_rank,
 )
 from .errors import CapacityError, InputError, InternalError
-from .linedigraphs import independent_full_submatrices, recognize_line_digraph
+from .linedigraphs import _full_blocks
 from .matrices import (
     dft,
     hypercube_weighing,
@@ -82,7 +83,6 @@ class Certificate:
     kind: str  # explicit | line-digraph-dft | weighing | numerical
     matrix: np.ndarray
     residual: float
-    support_match: bool
 
 
 @dataclass(frozen=True)
@@ -241,19 +241,22 @@ def necessary_battery(D: Digraph) -> ConditionReport:
 def _line_digraph_certificate(D: Digraph) -> tuple[str, np.ndarray] | None:
     """DFT-per-block matrix for regular line digraphs.
 
-    In a d-regular line digraph each row class holds exactly d rows, and its
-    support is d columns whose own supports are that same class, so the
-    blocks are full d x d and disjoint in rows and columns.  DFT(d) in every
-    block is then unitary, connected or not.
+    Rows that share a column being identical is all it takes.  In a
+    d-regular digraph each row class c with support S then has |c| = d,
+    since every column of S has exactly c as its rows; two columns sharing
+    a row both lie in S, so they are identical and D is a line digraph.  The
+    blocks are full d x d and disjoint in rows and columns, and DFT(d) in
+    every block is unitary, connected or not.
     """
     d = D.is_regular()
     if not d:
         return None
-    if not recognize_line_digraph(D).is_line_digraph:
+    blocks = _full_blocks(D.adj)
+    if blocks is None:
         return None
     u = np.zeros((D.n, D.n), dtype=np.complex128)
     f = dft(d)
-    for rows, cols in independent_full_submatrices(D).blocks:
+    for rows, cols in blocks:
         if len(rows) != d or len(cols) != d:
             raise InternalError(
                 f"line-digraph block is {len(rows)}x{len(cols)} in a {d}-regular digraph"
@@ -317,7 +320,7 @@ def _verify_certificate(D: Digraph, kind: str, matrix: np.ndarray, cfg: SolverCo
         )
     if support(matrix, cfg.min_magnitude) != D:
         raise InternalError(f"{kind} certificate support does not match the input digraph")
-    return Certificate(kind, matrix, residual, True)
+    return Certificate(kind, matrix, residual)
 
 
 def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
@@ -483,8 +486,13 @@ def _pair_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
+@lru_cache(maxsize=None)
 def _perm_bit_maps(n: int) -> np.ndarray:
-    """Row p: where bit k of a relabeled mask comes from in the original mask."""
+    """Row p: where bit k of a relabeled mask comes from in the original mask.
+
+    Cached per n (n <= 8, at most 9 MB), so canonicalizing many graphs of
+    one order builds the table once; the array is read-only.
+    """
     pairs = _pair_list(n)
     index = {p: k for k, p in enumerate(pairs)}
     maps = np.empty((math.factorial(n), len(pairs)), dtype=np.int64)
@@ -492,6 +500,7 @@ def _perm_bit_maps(n: int) -> np.ndarray:
         for k, (i, j) in enumerate(pairs):
             a, b = perm[i], perm[j]
             maps[p, k] = index[(a, b) if a < b else (b, a)]
+    maps.setflags(write=False)
     return maps
 
 
@@ -520,37 +529,6 @@ def _mask_to_digraph(n: int, mask: int) -> Digraph:
         if (mask >> k) & 1:
             a[i, j] = a[j, i] = 1
     return Digraph(a)
-
-
-def _connected_mask(n: int, mask: int) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k, (i, j) in enumerate(_pair_list(n)):
-        if (mask >> k) & 1:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(v) for v in range(n)}) == 1
-
-
-def _connected_classes_small(n: int) -> list[int]:
-    """All connected loop-free graphs on n <= 6 labeled vertices, one mask per class."""
-    k = n * (n - 1) // 2
-    masks = np.arange(1 << k, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(k)) & 1).astype(np.int8)
-    maps = _perm_bit_maps(n)
-    pow2 = 1 << np.arange(k, dtype=np.int64)
-    canon = np.full(len(masks), np.iinfo(np.int64).max, dtype=np.int64)
-    for p in range(maps.shape[0]):
-        np.minimum(canon, bits[:, maps[p]].astype(np.int64) @ pow2, out=canon)
-    reps = np.flatnonzero(canon == masks)
-    return [int(m) for m in reps if _connected_mask(n, int(m))]
 
 
 def _connected_classes_grown(n: int, smaller: list[int]) -> list[int]:
@@ -609,12 +587,9 @@ def conjecture_survey(max_n: int, cfg: SolverConfig | None = None) -> SurveyResu
     cfg = cfg or SolverConfig()
     rows: list[SurveyRow] = []
     class_counts: dict[int, int] = {}
-    classes: list[int] = []
+    classes = [0]  # the one-vertex graph
     for n in range(2, max_n + 1):
-        if n <= 6:
-            classes = _connected_classes_small(n)
-        else:
-            classes = _connected_classes_grown(n, classes)
+        classes = _connected_classes_grown(n, classes)
         class_counts[n] = len(classes)
         for mask in classes:
             D = _mask_to_digraph(n, mask)

@@ -32,6 +32,10 @@ def test_digraph_validation():
         Digraph([[2]])
     with pytest.raises(InputError):
         Digraph([[0.5]])
+    with pytest.raises(InputError):
+        Digraph([["1"]])
+    with pytest.raises(InputError):
+        Digraph([[None]])
     d = Digraph([[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         d.adj[0, 0] = 1  # adjacency is read-only

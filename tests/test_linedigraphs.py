@@ -81,6 +81,38 @@ def test_recognize_known_line_digraphs():
     assert rec.is_line_digraph
     assert reconstruction_matches(ug.directed_path(3), rec)
 
+    # no arcs: every vertex is an arc from a fresh source to a fresh sink
+    rec = recognize_line_digraph(Digraph(np.zeros((3, 3), dtype=np.int8)))
+    assert rec.is_line_digraph
+    assert rec.base == Multidigraph([[0, 3], [0, 0]])
+    assert rec.vertex_arcs == ((0, 1), (0, 1), (0, 1))
+
+    rec = recognize_line_digraph(Digraph([[1]]))
+    assert rec.is_line_digraph
+    assert rec.base == Multidigraph([[1]])
+    assert rec.vertex_arcs == ((0, 0),)
+
+
+def first_overlap(a):
+    """The first column in index order whose rows differ: its first row and
+    the first of its rows that differs from that one."""
+    for j in range(a.shape[1]):
+        rows = [int(i) for i in np.flatnonzero(a[:, j])]
+        for i in rows[1:]:
+            if not np.array_equal(a[i], a[rows[0]]):
+                return rows[0], i
+    return None
+
+
+def expected_witness(a):
+    # columns are asked only when no two rows overlap, which (as recognition
+    # relies on) leaves no two overlapping columns either
+    row = first_overlap(a)
+    if row is not None:
+        return ("row", *row)
+    col = first_overlap(a.T)
+    return None if col is None else ("column", *col)
+
 
 def test_recognize_rejections_have_witnesses():
     for D in (ug.hypercube_graph(3), ug.k33_minus_edge(),
@@ -91,6 +123,20 @@ def test_recognize_rejections_have_witnesses():
         a = D.adj if kind == "row" else D.adj.T
         ri, rj = set(np.flatnonzero(a[i])), set(np.flatnonzero(a[j]))
         assert ri & rj and ri != rj  # overlapping but not equal
+        assert rec.witness == expected_witness(D.adj)
+
+    rng = np.random.default_rng(404)
+    rejected = 0
+    for _ in range(400):
+        D = random_digraph(rng, int(rng.integers(1, 10)), float(rng.random()), loops=True)
+        rec = recognize_line_digraph(D)
+        assert rec.witness == expected_witness(D.adj)
+        if rec.is_line_digraph:
+            assert reconstruction_matches(D, rec)
+        else:
+            rejected += 1
+            assert rec.base is None and rec.vertex_arcs == ()
+    assert rejected > 100
 
 
 def test_round_trip_random_bases_with_relabeling():
@@ -116,12 +162,22 @@ def test_isolated_vertices_and_sources():
     assert rec.is_line_digraph
     assert reconstruction_matches(Digraph(a), rec)
 
+    # row class {3} with support {0} involves vertex 0, so it becomes base
+    # vertex 0 ahead of row class {2} with support {3}; source 2, sink 3
+    a = np.zeros((4, 4), dtype=np.int8)
+    a[2, 3] = a[3, 0] = 1
+    rec = recognize_line_digraph(Digraph(a))
+    assert rec.vertex_arcs == ((0, 3), (2, 3), (2, 1), (1, 0))
+    assert rec.base == Multidigraph([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0]])
+
 
 def test_independent_full_submatrices():
     dec = independent_full_submatrices(ug.cycle_graph(4))
     assert sorted(dec.blocks) == [((0, 2), (1, 3)), ((1, 3), (0, 2))]
     dec = independent_full_submatrices(Digraph(np.ones((3, 3), dtype=np.int8)))
     assert dec.blocks == (((0, 1, 2), (0, 1, 2)),)
+    assert independent_full_submatrices(Digraph(np.zeros((3, 3), dtype=np.int8))).blocks == ()
+    assert independent_full_submatrices(Digraph([[1]])).blocks == (((0,), (0,)),)
     with pytest.raises(InputError):
         independent_full_submatrices(Digraph([[1, 1], [0, 1]]))
 

@@ -1,3 +1,6 @@
+from itertools import product
+
+import networkx as nx
 import numpy as np
 import pytest
 from conftest import check_certificate, random_digraph
@@ -15,6 +18,8 @@ from unigraph import (
     necessary_battery,
     sperner_capacity,
 )
+from unigraph import membership
+from unigraph.linedigraphs import recognize_line_digraph
 
 BATTERY_ORDER = (
     "quadrangularity",
@@ -134,6 +139,22 @@ def test_certify_directed_cycles():
         assert out.status == "certified"
         assert out.certificate.kind == "line-digraph-dft"
         assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+
+
+def test_dft_route_fires_exactly_on_regular_line_digraphs():
+    # the DFT route checks only that rows sharing a column are identical;
+    # on d-regular inputs (d >= 1) that must agree with full recognition
+    regular = 0
+    for n in (1, 2, 3, 4):
+        for cells in product((0, 1), repeat=n * n):
+            D = Digraph(np.array(cells, dtype=np.int8).reshape(n, n))
+            if not D.is_regular():
+                continue
+            regular += 1
+            out = certify(D, FAST)
+            kind = out.certificate.kind if out.certificate else None
+            assert (kind == "line-digraph-dft") == recognize_line_digraph(D).is_line_digraph
+    assert regular == 156
 
 
 def test_certify_excluded():
@@ -270,6 +291,24 @@ def test_graph_canonical_mask_errors():
         graph_canonical_mask(ug.add_loops(ug.cycle_graph(2)))
     with pytest.raises(CapacityError):
         graph_canonical_mask(ug.cycle_graph(9))
+
+
+def test_survey_enumerates_every_connected_graph(monkeypatch):
+    # the survey's classes through n = 7 against the networkx graph atlas,
+    # with certify and hamiltonicity stubbed out: only the enumeration runs
+    monkeypatch.setattr(membership, "certify", lambda D, cfg: membership.CertifyOutcome(
+        "undecided", None, None, "stub"))
+    monkeypatch.setattr(membership, "hamiltonian_cycle", lambda D: None)
+    res = conjecture_survey(7)
+    atlas: dict[int, set[int]] = {}
+    for G in nx.graph_atlas_g():
+        n = G.number_of_nodes()
+        if n >= 2 and nx.is_connected(G):
+            atlas.setdefault(n, set()).add(graph_canonical_mask(Digraph(nx.to_numpy_array(G, dtype=np.int8))))
+    assert {n: len(m) for n, m in atlas.items()} == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+    assert res.class_counts == {n: len(m) for n, m in atlas.items()}
+    for n, masks in atlas.items():
+        assert [r.mask for r in res.rows if r.n == n] == sorted(masks)
 
 
 def test_conjecture_survey_small():
