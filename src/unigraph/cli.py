@@ -5,10 +5,15 @@ Every command emits a run report (JSON by default, a short text summary with
 3 usage/parse/input error, 4 capacity exceeded, 5 internal error (a failed
 self-check or any unexpected exception, reported on one stderr line, so that
 a crash never reads as "excluded").
+
+The argument parser is built once per process and reused by every call of
+`main`; each subcommand binds its handler, and a report is serialized by
+one `json.dumps`.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -44,7 +49,6 @@ from .membership import (
     necessary_battery,
     sperner_capacity,
 )
-from .reporting import jsonable
 
 __all__ = ["main", "build_parser", "parse_digraph", "digraph_to_jsonable"]
 
@@ -104,7 +108,7 @@ def _digraph_from_json(obj) -> Digraph:
 
 
 def digraph_to_jsonable(D: Digraph) -> dict:
-    return {"n": D.n, "adjacency": [[int(x) for x in row] for row in D.adj]}
+    return {"n": D.n, "adjacency": D.adj.tolist()}
 
 
 def _load_digraph(path: str) -> tuple[Digraph, str]:
@@ -117,6 +121,10 @@ def _load_digraph(path: str) -> tuple[Digraph, str]:
 
 def _params_digest(params: dict) -> str:
     return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 # === command handlers ===
@@ -146,6 +154,19 @@ def _condition_lines(conditions) -> list[str]:
     return [f"  [{c['status']}] {c['name']}" for c in conditions]
 
 
+def _certificate_payload(cert) -> dict:
+    return {"kind": cert.kind, "residual": cert.residual, "matrix": matrix_to_jsonable(cert.matrix)}
+
+
+def _subgroup_payload(G, x: int, sub) -> dict:
+    return {
+        "x": x,
+        "x_name": G.names[x],
+        "subgroup": sub,
+        "subgroup_names": [G.names[h] for h in sub],
+    }
+
+
 def _cmd_analyze(args) -> CommandResult:
     D, digest = _load_digraph(args.infile)
     rep = necessary_battery(D)
@@ -167,13 +188,7 @@ def _cmd_certify(args) -> CommandResult:
     D, digest = _load_digraph(args.infile)
     cfg = _solver_config(args)
     out = certify(D, cfg)
-    cert = None
-    if out.certificate is not None:
-        cert = {
-            "kind": out.certificate.kind,
-            "residual": out.certificate.residual,
-            "matrix": matrix_to_jsonable(out.certificate.matrix),
-        }
+    cert = None if out.certificate is None else _certificate_payload(out.certificate)
     payload = {
         "n": D.n,
         "status": out.status,
@@ -196,18 +211,10 @@ def _cmd_cayley(args) -> CommandResult:
     X = cayley_digraph(G, gens)
     conds = unistochastic_group_conditions(G, gens)
     wit = line_digraph_witness(G, gens)
-    witness = None
-    if wit is not None:
-        x, sub = wit
-        witness = {
-            "x": x,
-            "x_name": G.names[x],
-            "subgroup": list(sub),
-            "subgroup_names": [G.names[h] for h in sub],
-        }
+    witness = None if wit is None else _subgroup_payload(G, *wit)
     payload = {
         "group": {"spec": args.group, "order": G.order},
-        "generators": list(gens),
+        "generators": gens,
         "generator_names": [G.names[s] for s in gens],
         "digraph": digraph_to_jsonable(X),
         "regular": X.is_regular(),
@@ -234,9 +241,9 @@ def _cmd_linedigraph(args) -> CommandResult:
         if rec.is_line_digraph:
             payload["base"] = {
                 "n": rec.base.n,
-                "multiplicity": [[int(x) for x in row] for row in rec.base.mult],
+                "multiplicity": rec.base.mult.tolist(),
             }
-            payload["vertex_arcs"] = [list(a) for a in rec.vertex_arcs]
+            payload["vertex_arcs"] = rec.vertex_arcs
             summary = [
                 "line digraph: yes",
                 f"base multidigraph on {rec.base.n} vertices, {rec.base.arc_count} arcs",
@@ -252,7 +259,7 @@ def _cmd_linedigraph(args) -> CommandResult:
     L = line_digraph(Multidigraph(D.adj))
     payload = {
         "digraph": digraph_to_jsonable(L.digraph),
-        "arc_labels": [list(lbl) for lbl in L.labels],
+        "arc_labels": L.labels,
     }
     summary = [f"line digraph has {L.digraph.n} vertices, {L.digraph.arc_count} arcs"]
     return CommandResult(
@@ -303,21 +310,12 @@ def _cmd_theorem1(args) -> CommandResult:
     cert = out.certificate
     payload = {
         "group": {"spec": args.group, "order": G.order},
-        "generators": list(gens),
+        "generators": gens,
         "generator_names": [G.names[s] for s in gens],
-        "coset": list(T),
+        "coset": T,
         "coset_names": [G.names[t] for t in T],
-        "witness": {
-            "x": x,
-            "x_name": G.names[x],
-            "subgroup": list(sub),
-            "subgroup_names": [G.names[h] for h in sub],
-        },
-        "certificate": {
-            "kind": cert.kind,
-            "residual": cert.residual,
-            "matrix": matrix_to_jsonable(cert.matrix),
-        },
+        "witness": _subgroup_payload(G, x, sub),
+        "certificate": _certificate_payload(cert),
     }
     summary = [
         f"coset generating set has {len(T)} elements: {', '.join(G.names[t] for t in T)}",
@@ -337,7 +335,7 @@ def _cmd_spectrum(args) -> CommandResult:
     vals = circulant_spectrum(n, residues)
     payload = {
         "n": n,
-        "residues": list(residues),
+        "residues": residues,
         "eigenvalues": [[float(v.real), float(v.imag)] for v in vals],
     }
     summary = [f"{n} eigenvalues of the circulant on residues {sorted(set(residues))}"]
@@ -355,7 +353,7 @@ def _cmd_sperner(args) -> CommandResult:
     payload = {
         "mode": res.mode,
         "value": res.value,
-        "distribution": list(res.distribution),
+        "distribution": res.distribution,
     }
     if mode == "optimize":
         payload["note"] = "projected ascent is a heuristic; the value is a lower bound"
@@ -371,14 +369,14 @@ def _cmd_survey(args) -> CommandResult:
         "class_counts": {str(n): c for n, c in res.class_counts.items()},
         "candidate_count": len(res.counterexample_candidates),
         "counterexample_candidates": [
-            {"n": r.n, "mask": r.mask, "adjacency": [list(row) for row in r.adjacency]}
+            {"n": r.n, "mask": r.mask, "adjacency": r.adjacency}
             for r in res.counterexample_candidates
         ],
         "rows": [
             {
                 "n": r.n,
                 "mask": r.mask,
-                "adjacency": [list(row) for row in r.adjacency],
+                "adjacency": r.adjacency,
                 "status": r.status,
                 "certificate_kind": r.certificate_kind,
                 "hamiltonian": r.hamiltonian,
@@ -395,19 +393,6 @@ def _cmd_survey(args) -> CommandResult:
     ]
     digest = _params_digest({"max_n": args.max_n})
     return CommandResult(0, payload, summary, seed=args.seed, digest=digest)
-
-
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "certify": _cmd_certify,
-    "cayley": _cmd_cayley,
-    "linedigraph": _cmd_linedigraph,
-    "hypercube": _cmd_hypercube,
-    "theorem1": _cmd_theorem1,
-    "spectrum": _cmd_spectrum,
-    "sperner": _cmd_sperner,
-    "survey": _cmd_survey,
-}
 
 
 # === parser ===
@@ -430,53 +415,65 @@ def _add_solver(p):
     p.add_argument("--max-iter", type=int, default=10000, help="iterations per restart")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `unigraph` parser, built once per process: parse state lives in the
+    returned Namespace, so every call of `main` can reuse it."""
     parser = _ArgumentParser(prog="unigraph", description="digraphs of unitary matrices")
     parser.add_argument("--version", action="version", version=f"unigraph {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="COMMAND")
 
     p = sub.add_parser("analyze", help="run the necessary-condition battery on a digraph")
+    p.set_defaults(handler=_cmd_analyze)
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
     _add_common(p)
 
     p = sub.add_parser("certify", help="decide membership and produce a certificate")
+    p.set_defaults(handler=_cmd_certify)
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
     _add_solver(p)
     _add_common(p)
 
     p = sub.add_parser("cayley", help="build a Cayley digraph and check the known conditions")
+    p.set_defaults(handler=_cmd_cayley)
     p.add_argument("--group", required=True, help="Z:n, Z2^k, D:n, S:n, prod:Z:a,Z:b,..., table:PATH")
     p.add_argument("--gens", required=True, help="comma-separated elements (cycle notation for S:n)")
     _add_common(p)
 
     p = sub.add_parser("linedigraph", help="construct a line digraph, or recognize one")
+    p.set_defaults(handler=_cmd_linedigraph)
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
     p.add_argument("--recognize", action="store_true", help="test the input for being a line digraph")
     _add_common(p)
 
     p = sub.add_parser("hypercube", help="weighing matrix supported on the k-cube")
+    p.set_defaults(handler=_cmd_hypercube)
     p.add_argument("k", type=int, help="cube dimension (at least 2)")
     p.add_argument("--loops", action="store_true", help="add the diagonal (weight k+1)")
     _add_common(p)
 
     p = sub.add_parser("theorem1", help="coset generating set, witness, and certificate")
+    p.set_defaults(handler=_cmd_theorem1)
     p.add_argument("--group", required=True)
     p.add_argument("--gens", required=True, help="exactly two elements")
     _add_solver(p)
     _add_common(p)
 
     p = sub.add_parser("spectrum", help="circulant spectrum for a cyclic connection set")
+    p.set_defaults(handler=_cmd_spectrum)
     p.add_argument("--group", required=True, help="must be Z:n")
     p.add_argument("--gens", required=True, help="comma-separated residues")
     _add_common(p)
 
     p = sub.add_parser("sperner", help="min-edge entropy of a graph")
+    p.set_defaults(handler=_cmd_sperner)
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
     p.add_argument("--optimize", action="store_true", help="projected-ascent search over distributions")
     p.add_argument("--seed", type=int, default=0, help="seed for the ascent's restarts")
     _add_common(p)
 
     p = sub.add_parser("survey", help="certify-and-check-hamiltonicity over all small graphs")
+    p.set_defaults(handler=_cmd_survey)
     p.add_argument("--max-n", dest="max_n", type=int, required=True, help="largest vertex count (2..8)")
     _add_solver(p)
     _add_common(p)
@@ -515,25 +512,25 @@ def _run(argv: list[str]) -> int:
     parser = build_parser()
     started = time.perf_counter()
     args = parser.parse_args(argv)
-    result = _HANDLERS[args.verb](args)
+    result = args.handler(args)
     report = {
         "schema": 1,
         "tool": {"name": "unigraph", "version": __version__},
         "command": {"verb": args.verb, "argv": argv, "seed": result.seed},
         "input": {"path": result.input_path, "digest": result.digest},
-        "payload": jsonable(result.payload),
+        "payload": result.payload,
         "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
     if args.out:
         artifact = result.artifact if result.artifact is not None else report
         try:
-            Path(args.out).write_text(json.dumps(artifact, sort_keys=True, indent=2) + "\n")
+            Path(args.out).write_text(_dumps(artifact) + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
     if args.format == "text":
         print("\n".join(result.summary))
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
     return result.code
 
 

@@ -237,12 +237,10 @@ def matrix_to_jsonable(m) -> dict:
     """JSON form: complex entries as [re, im] pairs, integer entries as ints."""
     a = _square(m)
     if np.iscomplexobj(a):
-        entries = [[[float(v.real), float(v.imag)] for v in row] for row in a]
-    elif np.issubdtype(a.dtype, np.integer):
-        entries = [[int(v) for v in row] for row in a]
-    else:
-        entries = [[float(v) for v in row] for row in a]
-    return {"n": int(a.shape[0]), "entries": entries}
+        a = np.stack([a.real, a.imag], -1)
+    elif not np.issubdtype(a.dtype, np.integer):
+        a = a.astype(np.float64)
+    return {"n": int(a.shape[0]), "entries": a.tolist()}
 
 
 def matrix_from_jsonable(obj) -> np.ndarray:

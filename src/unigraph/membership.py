@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -482,26 +482,33 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 # === conjecture survey ===
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
 @lru_cache(maxsize=None)
-def _perm_bit_maps(n: int) -> np.ndarray:
-    """Row p: where bit k of a relabeled mask comes from in the original mask.
+def _relabel_weights(n: int) -> np.ndarray:
+    """W[p, maps[p, k]] = 2**k: bit k of the graph relabeled by permutation p
+    comes from bit maps[p, k], so `bits @ W.T` lists every relabeled mask.
 
-    Cached per n (n <= 8, at most 9 MB), so canonicalizing many graphs of
-    one order builds the table once; the array is read-only.
+    Bit k is pair k of `np.triu_indices(n, 1)` (the order of
+    `combinations(range(n), 2)`).  Masks stay below 2**28, so float64 sums
+    are exact.  Cached per n (n <= 8, at most 9 MB) and read-only.
     """
-    pairs = _pair_list(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    maps = np.empty((math.factorial(n), len(pairs)), dtype=np.int64)
-    for p, perm in enumerate(permutations(range(n))):
-        for k, (i, j) in enumerate(pairs):
-            a, b = perm[i], perm[j]
-            maps[p, k] = index[(a, b) if a < b else (b, a)]
-    maps.setflags(write=False)
-    return maps
+    iu, ju = np.triu_indices(n, 1)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[iu, ju] = index[ju, iu] = np.arange(len(iu))
+    perms = np.array(list(permutations(range(n))))
+    maps = index[perms[:, iu], perms[:, ju]]
+    w = np.zeros(maps.shape)
+    np.put_along_axis(w, maps, np.broadcast_to(2.0 ** np.arange(len(iu)), maps.shape), axis=1)
+    w.setflags(write=False)
+    return w
+
+
+def _canonical_masks(n: int, bits: np.ndarray) -> np.ndarray:
+    """Canonical mask of each row of pair bits: the minimum over relabelings."""
+    return (bits @ _relabel_weights(n).T).min(axis=1).astype(np.int64)
+
+
+def _mask_bits(mask: int, pairs: int) -> np.ndarray:
+    return (mask >> np.arange(pairs)) & 1
 
 
 _CANONICAL_CAP = 8
@@ -516,18 +523,13 @@ def graph_canonical_mask(D: Digraph) -> int:
         raise CapacityError(f"canonicalization capped at {_CANONICAL_CAP} vertices, got {n}")
     if n < 2:
         return 0
-    pairs = _pair_list(n)
-    bits = np.array([int(D.adj[i, j]) for i, j in pairs], dtype=np.int64)
-    maps = _perm_bit_maps(n)
-    pow2 = 1 << np.arange(len(pairs), dtype=np.int64)
-    return int((bits[maps] @ pow2).min())
+    return int(_canonical_masks(n, D.adj[np.triu_indices(n, 1)][None])[0])
 
 
 def _mask_to_digraph(n: int, mask: int) -> Digraph:
+    iu, ju = np.triu_indices(n, 1)
     a = np.zeros((n, n), dtype=np.int8)
-    for k, (i, j) in enumerate(_pair_list(n)):
-        if (mask >> k) & 1:
-            a[i, j] = a[j, i] = 1
+    a[iu, ju] = a[ju, iu] = _mask_bits(mask, len(iu))
     return Digraph(a)
 
 
@@ -536,24 +538,19 @@ def _connected_classes_grown(n: int, smaller: list[int]) -> list[int]:
 
     Every connected graph has a vertex whose removal leaves it connected, so
     attaching a new vertex to each nonempty neighbor subset of each smaller
-    class reaches every class at least once.
+    class reaches every class at least once.  The pairs of the first n-1
+    vertices keep their relative order among the pairs of n, and the pairs
+    (v, n-1) follow in order of v, so each candidate's bits are the smaller
+    class's bits and the subset's bits side by side.
     """
-    pairs = _pair_list(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    maps = _perm_bit_maps(n)
-    pow2 = 1 << np.arange(len(pairs), dtype=np.int64)
+    old = np.triu_indices(n, 1)[1] < n - 1
+    subsets = np.arange(1, 1 << (n - 1))
+    cand = np.zeros((len(subsets), len(old)))
+    cand[:, ~old] = (subsets[:, None] >> np.arange(n - 1)) & 1
     seen: set[int] = set()
-    prev_pairs = _pair_list(n - 1)
     for base in smaller:
-        base_bits = [(base >> k) & 1 for k in range(len(prev_pairs))]
-        for subset in range(1, 1 << (n - 1)):
-            bits = np.zeros(len(pairs), dtype=np.int64)
-            for k, (i, j) in enumerate(prev_pairs):
-                bits[index[(i, j)]] = base_bits[k]
-            for v in range(n - 1):
-                if (subset >> v) & 1:
-                    bits[index[(v, n - 1)]] = 1
-            seen.add(int((bits[maps] @ pow2).min()))
+        cand[:, old] = _mask_bits(base, int(old.sum()))
+        seen.update(_canonical_masks(n, cand).tolist())
     return sorted(seen)
 
 

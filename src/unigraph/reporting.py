@@ -3,34 +3,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
-__all__ = ["PASS", "FAIL", "NOT_APPLICABLE", "Condition", "ConditionReport", "jsonable"]
-
-
-def jsonable(value):
-    """Recursively convert tuples/sets/numpy scalars into JSON-friendly values."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(jsonable(v) for v in value)
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
+__all__ = ["PASS", "FAIL", "NOT_APPLICABLE", "Condition", "ConditionReport"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +21,7 @@ class Condition:
     def to_dict(self) -> dict:
         d = {"name": self.name, "status": self.status}
         if self.witness is not None:
-            d["witness"] = jsonable(self.witness)
+            d["witness"] = self.witness
         return d
 
 

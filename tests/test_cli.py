@@ -1,12 +1,13 @@
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 import unigraph as ug
 from unigraph import InternalError, ParseError
-from unigraph.cli import main, parse_digraph
+from unigraph.cli import build_parser, main, parse_digraph
 from unigraph.matrices import matrix_from_jsonable, weighing_weight
 
 
@@ -250,3 +251,59 @@ def test_text_format_and_version(tmp_path, capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
     assert ug.__version__ in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (golden file, digraph written to the input file or None, argv; "IN" is the input path)
+GOLDEN_CASES = [
+    ("analyze-p3", ug.path_graph(3), ["analyze", "--in", "IN"]),
+    ("analyze-q4", ug.hypercube_graph(4), ["analyze", "--in", "IN"]),
+    ("cayley-z8", None, ["cayley", "--group", "Z:8", "--gens", "1,5"]),
+    (
+        "recognize-line",
+        ug.line_digraph(ug.Multidigraph([[1, 2, 0], [0, 0, 1], [1, 1, 0]])).digraph,
+        ["linedigraph", "--in", "IN", "--recognize"],
+    ),
+    ("recognize-nonline", ug.hypercube_graph(3), ["linedigraph", "--in", "IN", "--recognize"]),
+    ("hypercube-3-loops", None, ["hypercube", "3", "--loops"]),
+    ("survey-4", None, ["survey", "--max-n", "4"]),
+]
+
+
+def stable_stdout(out, path=None):
+    """Stdout without the timing line, the input path replaced by a placeholder."""
+    kept = "".join(l for l in out.splitlines(keepends=True) if '"timing_ms"' not in l)
+    return kept.replace(path, "<IN>") if path else kept
+
+
+@pytest.mark.parametrize("name,D,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_report_bytes_match_golden(tmp_path, capsys, name, D, argv):
+    # the golden reports were written by an earlier build: report bytes must not drift
+    path = write_digraph(tmp_path, "in.txt", D) if D is not None else None
+    code, out, err = run(capsys, [path if a == "IN" else a for a in argv])
+    assert err == ""
+    assert code in (0, 1, 2)
+    assert stable_stdout(out, path) == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_parser_reuse_across_calls(tmp_path, capsys):
+    c4 = write_digraph(tmp_path, "c4.txt", ug.cycle_graph(4))
+    calls = [
+        (["certify", "--in", c4], 0),
+        (["certify", "--in", c4, "--no-such-flag"], 3),
+        (["--version"], 0),
+        (["analyze", "--in", c4], 2),
+        (["certify", "--in", c4], 0),
+    ]
+    first = {}
+    for argv, want in calls:
+        code, out, err = run(capsys, argv)
+        assert code == want
+        if want == 3:
+            assert out == "" and err.startswith("error:")
+        key = tuple(argv)
+        first.setdefault(key, stable_stdout(out))
+        assert stable_stdout(out) == first[key]
+    assert json.loads(first[tuple(calls[0][0])])["payload"]["status"] == "certified"
+    assert build_parser() is build_parser()
