@@ -116,7 +116,11 @@ def _load_digraph(path: str) -> tuple[Digraph, str]:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_digraph(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_digraph(text), hashlib.sha256(data).hexdigest()
 
 
 def _params_digest(params: dict) -> str:
@@ -408,11 +412,12 @@ def _add_common(p):
 
 
 def _add_solver(p):
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--tol", type=float, default=1e-8, help="unitarity residual tolerance")
-    p.add_argument("--delta", type=float, default=1e-6, help="magnitude floor for required entries")
-    p.add_argument("--restarts", type=int, default=50, help="random restarts for the solver")
-    p.add_argument("--max-iter", type=int, default=10000, help="iterations per restart")
+    d = SolverConfig()
+    p.add_argument("--seed", type=int, default=d.seed, help="base RNG seed")
+    p.add_argument("--tol", type=float, default=d.tol, help="unitarity residual tolerance")
+    p.add_argument("--delta", type=float, default=d.min_magnitude, help="magnitude floor for required entries")
+    p.add_argument("--restarts", type=int, default=d.restarts, help="random restarts for the solver")
+    p.add_argument("--max-iter", type=int, default=d.max_iter, help="iterations per restart")
 
 
 @functools.cache

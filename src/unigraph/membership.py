@@ -31,7 +31,7 @@ from .digraphs import (
     term_rank,
 )
 from .errors import CapacityError, InputError, InternalError
-from .linedigraphs import _full_blocks
+from .linedigraphs import _row_column_blocks
 from .matrices import (
     dft,
     hypercube_weighing,
@@ -68,8 +68,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.min_magnitude <= 0:
-            raise InputError("tol and min_magnitude must be positive")
+        if not all(0 < x < math.inf for x in (self.tol, self.min_magnitude)):
+            raise InputError("tol and min_magnitude must be finite and positive")
         if self.max_iter < 1 or self.restarts < 1:
             raise InputError("max_iter and restarts must be at least 1")
         if self.seed < 0:
@@ -238,33 +238,6 @@ def necessary_battery(D: Digraph) -> ConditionReport:
 
 # === constructive certificates ===
 
-def _line_digraph_certificate(D: Digraph) -> tuple[str, np.ndarray] | None:
-    """DFT-per-block matrix for regular line digraphs.
-
-    Rows that share a column being identical is all it takes.  In a
-    d-regular digraph each row class c with support S then has |c| = d,
-    since every column of S has exactly c as its rows; two columns sharing
-    a row both lie in S, so they are identical and D is a line digraph.  The
-    blocks are full d x d and disjoint in rows and columns, and DFT(d) in
-    every block is unitary, connected or not.
-    """
-    d = D.is_regular()
-    if not d:
-        return None
-    blocks = _full_blocks(D.adj)
-    if blocks is None:
-        return None
-    u = np.zeros((D.n, D.n), dtype=np.complex128)
-    f = dft(d)
-    for rows, cols in blocks:
-        if len(rows) != d or len(cols) != d:
-            raise InternalError(
-                f"line-digraph block is {len(rows)}x{len(cols)} in a {d}-regular digraph"
-            )
-        u[np.ix_(rows, cols)] = f
-    return "line-digraph-dft", u
-
-
 _V3 = np.array(
     [
         [1 / math.sqrt(2), -1 / math.sqrt(2), 0.0],
@@ -299,11 +272,8 @@ def _registry_certificate(D: Digraph) -> tuple[str, np.ndarray] | None:
         if sorted(D.adj.sum(axis=1)) == sorted(fixture.adj.sum(axis=1)):
             f = induced_subgraph_search(D, fixture)
             if f is not None:
-                uh = _k33_minus_edge_matrix()
                 u = np.zeros((6, 6))
-                for a in range(6):
-                    for b in range(6):
-                        u[f[a], f[b]] = uh[a, b]
+                u[np.ix_(f, f)] = _k33_minus_edge_matrix()
                 return "explicit", u.astype(np.complex128)
     return None
 
@@ -326,22 +296,35 @@ def _verify_certificate(D: Digraph, kind: str, matrix: np.ndarray, cfg: SolverCo
 def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     """Decide membership as far as the toolbox can: battery, constructions, solver.
 
-    Order: necessary battery (excluded on any failure); DFT blocks for regular
-    line digraphs; the registry of known constructions; alternating
-    projection.  Every certificate is verified before release.
+    A unitary with support D is block-diagonal, up to row and column
+    permutations, along the components of D's row-column graph, so D is a
+    member iff every block is.  Order: necessary battery (excluded on any
+    failure); DFT(d) in every block when all blocks are full; the registry
+    of known constructions on the whole pattern; then block by block, DFT(d)
+    for a full block and alternating projection for any other.  Every
+    certificate is verified before release.
     """
     cfg = cfg or SolverConfig()
     battery = necessary_battery(D)
     if battery.verdict == "excluded":
         first = battery.first_failure
         return CertifyOutcome("excluded", battery, None, first.name)
-    built = _line_digraph_certificate(D) or _registry_certificate(D)
+    blocks = _row_column_blocks(D.adj)
+    subs = [D.adj[np.ix_(rows, cols)] for rows, cols in blocks]
+    for sub in subs:
+        # term rank n pairs every row with a column of its own block
+        if sub.shape[0] != sub.shape[1]:
+            raise InternalError(f"battery passed a pattern with a {sub.shape[0]}x{sub.shape[1]} block")
+    all_full = all(sub.all() for sub in subs)
+    built = None if all_full else _registry_certificate(D)
     if built is None:
-        m = alternating_projection(D, cfg)
-        if m is not None:
-            built = ("numerical", m)
-    if built is None:
-        return CertifyOutcome("undecided", battery, None, "no realization found within budget")
+        u = np.zeros((D.n, D.n), dtype=np.complex128)
+        for (rows, cols), sub in zip(blocks, subs):
+            m = dft(len(rows)) if sub.all() else alternating_projection(Digraph(sub), cfg)
+            if m is None:
+                return CertifyOutcome("undecided", battery, None, "no realization found within budget")
+            u[np.ix_(rows, cols)] = m
+        built = ("line-digraph-dft" if all_full else "numerical", u)
     kind, matrix = built
     return CertifyOutcome("certified", battery, _verify_certificate(D, kind, matrix, cfg), None)
 

@@ -122,6 +122,20 @@ def test_usage_and_io_errors(tmp_path, capsys):
     code, out, err = run(capsys, ["certify"])  # missing --in
     assert code == 3 and err
 
+    utf16 = tmp_path / "utf16.txt"
+    utf16.write_bytes(b"\xff\xfe2\x00\n\x00")
+    k4 = write_digraph(tmp_path, "k4.txt", ug.complete_graph(4))
+    for argv in (
+        ["analyze", "--in", str(utf16)],
+        ["certify", "--in", k4, "--tol", "inf", "--restarts", "2", "--max-iter", "50"],
+        ["certify", "--in", k4, "--tol", "nan"],
+        ["certify", "--in", k4, "--delta", "nan"],
+        ["certify", "--in", k4, "--delta", "-inf"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "unexpected" not in err
+
     code, out, err = run(capsys, ["theorem1", "--group", "S:3", "--gens", "(1 2)"])
     assert code == 3 and err
 

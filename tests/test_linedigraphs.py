@@ -1,10 +1,11 @@
+import networkx as nx
 import numpy as np
 import pytest
 from conftest import random_digraph
 
 import unigraph as ug
 from unigraph import Digraph, InputError, Multidigraph
-from unigraph.linedigraphs import independent_full_submatrices, line_digraph, recognize_line_digraph
+from unigraph.linedigraphs import _row_column_blocks, independent_full_submatrices, line_digraph, recognize_line_digraph
 
 
 def reconstruction_matches(D, rec):
@@ -180,6 +181,21 @@ def test_independent_full_submatrices():
     assert independent_full_submatrices(Digraph([[1]])).blocks == (((0,), (0,)),)
     with pytest.raises(InputError):
         independent_full_submatrices(Digraph([[1, 1], [0, 1]]))
+
+
+def test_row_column_blocks_against_networkx():
+    # the block split is the components of the bipartite row-column graph
+    rng = np.random.default_rng(56)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        a = (rng.random((n, n)) < rng.uniform(0.02, 0.5)).astype(np.int8)
+        g = nx.Graph()
+        g.add_edges_from((("r", int(i)), ("c", int(j))) for i, j in zip(*np.nonzero(a)))
+        comps = [
+            (tuple(sorted(v for s, v in comp if s == "r")), tuple(sorted(v for s, v in comp if s == "c")))
+            for comp in nx.connected_components(g)
+        ]
+        assert _row_column_blocks(a) == tuple(sorted(comps))
 
 
 def test_blocks_cover_every_arc_once():

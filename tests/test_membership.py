@@ -18,8 +18,9 @@ from unigraph import (
     necessary_battery,
     sperner_capacity,
 )
-from unigraph import membership
-from unigraph.linedigraphs import recognize_line_digraph
+from unigraph import Multidigraph, membership
+from unigraph.linedigraphs import _row_column_blocks, line_digraph, recognize_line_digraph
+from unigraph.matrices import dft
 
 BATTERY_ORDER = (
     "quadrangularity",
@@ -44,6 +45,11 @@ def by_name(report):
 def test_solver_config_validation():
     with pytest.raises(InputError):
         SolverConfig(tol=0.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError):
+            SolverConfig(tol=bad)
+        with pytest.raises(InputError):
+            SolverConfig(min_magnitude=bad)
     with pytest.raises(InputError):
         SolverConfig(restarts=0)
     with pytest.raises(InputError):
@@ -128,11 +134,13 @@ def disjoint_union(*parts):
 
 def test_certify_directed_cycles():
     looped_k2 = ug.add_loops(ug.cycle_graph(2))
-    # disconnected regular line digraphs get DFT blocks too
+    # disconnected regular line digraphs get DFT blocks too, and so do
+    # irregular ones: L([[1, 1], [1, 0]]) has a 2x2 and a 1x1 block
     unions = (
         disjoint_union(ug.directed_cycle(3), ug.directed_cycle(2)),
         disjoint_union(ug.cycle_graph(4), ug.cycle_graph(4)),
         disjoint_union(looped_k2, looped_k2, looped_k2),
+        line_digraph(Multidigraph([[1, 1], [1, 0]])).digraph,
     )
     for D in [ug.directed_cycle(n) for n in (2, 3, 5, 8)] + list(unions):
         out = certify(D, FAST)
@@ -141,20 +149,40 @@ def test_certify_directed_cycles():
         assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
 
 
-def test_dft_route_fires_exactly_on_regular_line_digraphs():
-    # the DFT route checks only that rows sharing a column are identical;
-    # on d-regular inputs (d >= 1) that must agree with full recognition
-    regular = 0
+def test_dft_route_fires_exactly_on_line_digraphs():
+    # certify's row-column blocks are all full iff D is a line digraph, so
+    # every line digraph that passes the battery gets DFT blocks; regular
+    # non-line digraphs must not
+    dft_count = 0
     for n in (1, 2, 3, 4):
         for cells in product((0, 1), repeat=n * n):
             D = Digraph(np.array(cells, dtype=np.int8).reshape(n, n))
-            if not D.is_regular():
+            is_line = recognize_line_digraph(D).is_line_digraph
+            if not (is_line or D.is_regular()):
                 continue
-            regular += 1
             out = certify(D, FAST)
             kind = out.certificate.kind if out.certificate else None
-            assert (kind == "line-digraph-dft") == recognize_line_digraph(D).is_line_digraph
-    assert regular == 156
+            assert (kind == "line-digraph-dft") == (is_line and out.status != "excluded")
+            dft_count += kind == "line-digraph-dft"
+    assert dft_count == 151
+
+
+def test_certify_solves_block_by_block():
+    # relabeled Q3 escapes the registry and splits into two J-I(4) blocks;
+    # J-I(4) + directed C3 has one solver block and three 1x1 DFT blocks
+    q3 = ug.hypercube_graph(3).adj
+    p = [3, 0, 5, 1, 4, 2, 7, 6]
+    cases = ((Digraph(q3[np.ix_(p, p)]), 2), (disjoint_union(ug.complete_graph(4), ug.directed_cycle(3)), 4))
+    for D, block_count in cases:
+        out = certify(D, FAST)
+        assert out.status == "certified" and out.certificate.kind == "numerical"
+        assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+        blocks = _row_column_blocks(D.adj)
+        assert len(blocks) == block_count
+        for rows, cols in blocks:
+            sub = D.adj[np.ix_(rows, cols)]
+            want = dft(len(rows)) if sub.all() else alternating_projection(Digraph(sub), FAST)
+            assert np.array_equal(out.certificate.matrix[np.ix_(rows, cols)], want)
 
 
 def test_certify_excluded():
