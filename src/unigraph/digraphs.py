@@ -23,6 +23,7 @@ __all__ = [
     "AutomorphismReport",
     "neighborhood",
     "structure_report",
+    "strong_components",
     "quadrangularity_violations",
     "diameter",
     "term_rank",
@@ -155,10 +156,13 @@ def neighborhood(D: Digraph, members, direction: str = "out") -> frozenset[int]:
 # === connectivity structure ===
 
 def _lowpoint_dfs(D: Digraph):
-    """Weak components, bridges and cut vertices of the underlying simple graph.
+    """Weak components, bridges, cut vertices and 2-colouring of the underlying simple graph.
 
     One iterative Hopcroft-Tarjan lowpoint DFS, loops dropped.  Components
-    are sorted and listed by least vertex; a bridge (i, j) has i < j.
+    are sorted and listed by least vertex; a bridge (i, j) has i < j.  Each
+    component's least vertex (its root) gets colour 0 and colours alternate
+    along tree arcs, so the graph is bipartite iff no edge joins two equal
+    colours; the parts are then the two colour classes, else None.
     """
     und = (D.adj | D.adj.T).astype(bool)
     np.fill_diagonal(und, False)
@@ -166,6 +170,7 @@ def _lowpoint_dfs(D: Digraph):
     n = D.n
     disc = [-1] * n
     low = [0] * n
+    color = [0] * n
     comps: list[tuple[int, ...]] = []
     bridges: list[tuple[int, int]] = []
     cuts: set[int] = set()
@@ -183,6 +188,7 @@ def _lowpoint_dfs(D: Digraph):
             for w in it:
                 if disc[w] == -1:
                     disc[w] = low[w] = clock
+                    color[w] = 1 - color[v]
                     clock += 1
                     comp.append(w)
                     stack.append((w, v, iter(nbrs[w])))
@@ -206,11 +212,15 @@ def _lowpoint_dfs(D: Digraph):
         if root_children >= 2:
             cuts.add(root)
         comps.append(tuple(sorted(comp)))
-    return tuple(comps), sorted(bridges), tuple(sorted(cuts))
+    odd = np.array(color, dtype=bool)
+    parts = None
+    if not (und & (odd[:, None] == odd[None, :])).any():
+        parts = tuple(np.flatnonzero(~odd).tolist()), tuple(np.flatnonzero(odd).tolist())
+    return tuple(comps), sorted(bridges), tuple(sorted(cuts)), parts
 
 
-def _strong_components(D: Digraph) -> tuple[tuple[int, ...], ...]:
-    """Strongly connected components (iterative Tarjan)."""
+def strong_components(D: Digraph) -> tuple[tuple[int, ...], ...]:
+    """Strongly connected components (iterative Tarjan), each sorted, listed by least vertex."""
     n = D.n
     out = [np.flatnonzero(row).tolist() for row in D.adj]
     index = [-1] * n
@@ -261,32 +271,29 @@ def _strong_components(D: Digraph) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class StructureReport:
     weak_components: tuple[tuple[int, ...], ...]
-    strong_components: tuple[tuple[int, ...], ...]
     directed_bridges: tuple[tuple[int, int], ...]
     bridges: tuple[tuple[int, int], ...]
     cut_vertices: tuple[int, ...]
+    parts: tuple[tuple[int, ...], tuple[int, ...]] | None
     is_symmetric: bool
 
     @property
     def weakly_connected(self) -> bool:
         return len(self.weak_components) == 1
 
-    @property
-    def strongly_connected(self) -> bool:
-        return len(self.strong_components) == 1
-
 
 def structure_report(D: Digraph) -> StructureReport:
-    """Weak/strong components plus every bridge-like feature of D.
+    """Weak components, every bridge-like feature of D, and a 2-colouring.
 
     A directed bridge is an arc whose removal raises the weak-component
     count; a bridge removes both arcs of an edge; a cut-vertex is removed
     together with its arcs.  All three are evaluated against weak
     connectivity, so they are the bridges and cut vertices of the underlying
     simple graph: a bridge pair holding one arc is a directed bridge, a pair
-    holding both arcs is a bridge.
+    holding both arcs is a bridge.  `parts` 2-colours that graph too (loops
+    dropped), or is None if it has an odd cycle.
     """
-    weak, pairs, cut_vertices = _lowpoint_dfs(D)
+    weak, pairs, cut_vertices, parts = _lowpoint_dfs(D)
     directed_bridges, bridges = [], []
     for i, j in pairs:
         if D.adj[i, j] and D.adj[j, i]:
@@ -295,10 +302,10 @@ def structure_report(D: Digraph) -> StructureReport:
             directed_bridges.append((i, j) if D.adj[i, j] else (j, i))
     return StructureReport(
         weak_components=weak,
-        strong_components=_strong_components(D),
         directed_bridges=tuple(sorted(directed_bridges)),
         bridges=tuple(bridges),
         cut_vertices=cut_vertices,
+        parts=parts,
         is_symmetric=D.is_symmetric(),
     )
 
@@ -656,42 +663,43 @@ class AutomorphismReport:
         return len(self.automorphisms)
 
 
+def _embeddings(H: Digraph, D: Digraph, keys_h, keys_d):
+    """Every injective f with H(u,v) = D(f(u),f(v)) for all u,v, by backtracking.
+
+    H's vertices are placed in `_search_order(H)`, each trying the least free
+    candidate first; v may only go to a w with keys_h[v] == keys_d[w], so
+    the keys must be invariants that every such map preserves.
+    """
+    AH, AD = H.adj.tolist(), D.adj.tolist()
+    order = _search_order(H)
+    image = [-1] * H.n
+    taken = [False] * D.n
+
+    def place(k):
+        if k == len(order):
+            yield tuple(image)
+            return
+        v = order[k]
+        placed = [(AH[u][v], AH[v][u], image[u]) for u in order[:k]]
+        for w in range(D.n):
+            if taken[w] or keys_h[v] != keys_d[w]:
+                continue
+            if all(uv == AD[fu][w] and vu == AD[w][fu] for uv, vu, fu in placed):
+                image[v] = w
+                taken[w] = True
+                yield from place(k + 1)
+                taken[w] = False
+
+    return place(0)
+
+
 def automorphism_group(D: Digraph, limit_n: int = 10) -> AutomorphismReport:
     """All adjacency-preserving vertex permutations, with transitivity flags."""
     n = D.n
     if n > limit_n:
         raise CapacityError(f"automorphism search capped at {limit_n} vertices, got {n}")
-    A = D.adj
-    profile = [(D.in_degree(v), D.out_degree(v), int(A[v, v])) for v in range(n)]
-    order = _search_order(D)
-    image = [-1] * n
-    taken = [False] * n
-    found: list[tuple[int, ...]] = []
-
-    def place(k):
-        if k == len(order):
-            found.append(tuple(image))
-            return
-        v = order[k]
-        for w in range(n):
-            if taken[w] or profile[w] != profile[v]:
-                continue
-            ok = True
-            for m in range(k):
-                u = order[m]
-                fu = image[u]
-                if A[u, v] != A[fu, w] or A[v, u] != A[w, fu]:
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                taken[w] = True
-                place(k + 1)
-                taken[w] = False
-                image[v] = -1
-
-    place(0)
-    perms = tuple(sorted(found))
+    profile = [(D.in_degree(v), D.out_degree(v), int(D.adj[v, v])) for v in range(n)]
+    perms = tuple(sorted(_embeddings(D, D, profile, profile)))
     vertex_orbit = {p[0] for p in perms}
     vertex_transitive = len(vertex_orbit) == n
     arcs = D.arcs()
@@ -708,61 +716,20 @@ def induced_subgraph_search(D: Digraph, H: Digraph) -> tuple[int, ...] | None:
     """Injective map f with H(u,v) = D(f(u),f(v)) for all u,v, or None."""
     if H.n > D.n:
         return None
-    AD, AH = D.adj, H.adj
-    order = _search_order(H)
-    image = [-1] * H.n
-    taken = [False] * D.n
-
-    def place(k):
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in range(D.n):
-            if taken[w] or AH[v, v] != AD[w, w]:
-                continue
-            ok = True
-            for m in range(k):
-                u = order[m]
-                fu = image[u]
-                if AH[u, v] != AD[fu, w] or AH[v, u] != AD[w, fu]:
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                taken[w] = True
-                if place(k + 1):
-                    return True
-                taken[w] = False
-                image[v] = -1
-        return False
-
-    return tuple(image) if place(0) else None
+    return next(_embeddings(H, D, H.adj.diagonal().tolist(), D.adj.diagonal().tolist()), None)
 
 
 def bipartition(D: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """2-coloring of a graph, or None if it has an odd closed walk (loops included)."""
+    """2-coloring of a graph, or None if it has an odd closed walk (loops included).
+
+    The parts are the lowpoint DFS's colour classes, so each component's
+    least vertex is in the first part.
+    """
     if not D.is_symmetric():
         raise InputError("bipartition needs a graph (symmetric adjacency)")
     if D.has_loops():
         return None
-    n = D.n
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        q = deque([start])
-        while q:
-            v = q.popleft()
-            for w in D.out_neighbors(v):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    q.append(w)
-                elif color[w] == color[v]:
-                    return None
-    part0 = tuple(v for v in range(n) if color[v] == 0)
-    part1 = tuple(v for v in range(n) if color[v] == 1)
-    return part0, part1
+    return _lowpoint_dfs(D)[3]
 
 
 def induced_subdigraph(D: Digraph, vertices) -> Digraph:

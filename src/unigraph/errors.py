@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["UnigraphError", "InputError", "CapacityError", "ParseError", "InternalError"]
+
 
 class UnigraphError(Exception):
     """Base class for all package errors."""

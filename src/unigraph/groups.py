@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 
 import numpy as np
 
@@ -35,7 +35,16 @@ __all__ = [
     "parse_element_list",
 ]
 
-_SYMMETRIC_CAP = 7
+_ORDER_CAP = 5040  # |S_7|; every family's order is checked before its table is built
+
+
+def _check_order(family: str, factors) -> None:
+    """CapacityError once the running product of `factors` (the order) passes the cap."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > _ORDER_CAP:
+            raise CapacityError(f"{family} has order above the group cap of {_ORDER_CAP}")
 
 
 class FiniteGroup:
@@ -146,6 +155,7 @@ class FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("need n >= 1")
+    _check_order(f"Z:{n}", (n,))
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table, names=[str(i) for i in range(n)], source=("cyclic", (n,)))
@@ -160,6 +170,7 @@ def product_of_cyclics(factors) -> FiniteGroup:
     ns = tuple(int(f) for f in factors)
     if not ns or any(f < 1 for f in ns):
         raise InputError(f"factors must be positive, got {ns}")
+    _check_order("prod:" + ",".join(f"Z:{f}" for f in ns), ns)
     n = math.prod(ns)
     idx = np.arange(n)
     digits = []
@@ -179,6 +190,7 @@ def product_of_cyclics(factors) -> FiniteGroup:
 def boolean_cube_group(k: int) -> FiniteGroup:
     if k < 1:
         raise InputError("need k >= 1")
+    _check_order(f"Z2^{k}", repeat(2, k))
     return product_of_cyclics((2,) * k)
 
 
@@ -191,6 +203,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise InputError("need n >= 1")
+    _check_order(f"D:{n}", (2, n))
     m = 2 * n
     table = np.zeros((m, m), dtype=np.int32)
     for f1 in (0, 1):
@@ -230,8 +243,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     """All permutations of n symbols in lexicographic order, composing right first."""
     if n < 1:
         raise InputError("need n >= 1")
-    if n > _SYMMETRIC_CAP:
-        raise CapacityError(f"symmetric group capped at {_SYMMETRIC_CAP} symbols, got {n}")
+    _check_order(f"S:{n}", range(1, n + 1))
     perms = np.array(list(permutations(range(n))), dtype=np.int8)
     m = perms.shape[0]
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)

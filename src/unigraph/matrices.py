@@ -254,8 +254,11 @@ def matrix_from_jsonable(obj) -> np.ndarray:
             return np.array(
                 [[complex(v[0], v[1]) for v in row] for row in entries], dtype=np.complex128
             )
-        if all(isinstance(v, int) for row in entries for v in row):
+        values = [v for row in entries for v in row]
+        if not all(isinstance(v, (int, float)) for v in values):
+            raise InputError("matrix entries must be numbers or [re, im] pairs")
+        if all(isinstance(v, int) for v in values):
             return np.array(entries, dtype=np.int64)
         return np.array(entries, dtype=np.float64)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"not a serialized matrix: {exc}") from exc

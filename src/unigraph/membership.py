@@ -21,7 +21,6 @@ from .digraphs import (
     _konig_set,
     _two_matching,
     add_loops,
-    bipartition,
     hamiltonian_cycle,
     hypercube_graph,
     induced_subgraph_search,
@@ -111,9 +110,10 @@ def necessary_battery(D: Digraph) -> ConditionReport:
 
     Failures carry witnesses; conditions whose premise does not hold (e.g. the
     graph-only ones on an asymmetric digraph) report not-applicable.  All of
-    them rest on one DFS, one maximum matching and one matrix product: on a
-    graph, Hall's condition, a perfect 2-matching and a perfect matching
-    between the parts each hold iff the term rank is n.
+    them rest on one DFS (which also 2-colours the graph), one maximum
+    matching and one matrix product: on a graph, Hall's condition, a perfect
+    2-matching and a perfect matching between the parts each hold iff the
+    term rank is n.
     """
     sr = structure_report(D)
     comp_of = {}
@@ -183,7 +183,8 @@ def necessary_battery(D: Digraph) -> ConditionReport:
     )
 
     symmetric = sr.is_symmetric
-    if symmetric and not D.has_loops():
+    simple_graph = symmetric and not D.has_loops()
+    if simple_graph:
         if full:
             tm = _two_matching(tr.matching)
             witness = {"edges": tm.edges, "cycles": tm.cycles}
@@ -215,7 +216,7 @@ def necessary_battery(D: Digraph) -> ConditionReport:
     else:
         conds.append(Condition("two-connected", NOT_APPLICABLE))
 
-    parts = bipartition(D) if symmetric else None
+    parts = sr.parts if simple_graph else None
     if parts is not None:
         p0, p1 = parts
         conds.append(

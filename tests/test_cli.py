@@ -165,6 +165,18 @@ def test_capacity_exit_code(tmp_path, capsys):
     big = write_digraph(tmp_path, "c11.txt", ug.cycle_graph(11))
     code, out, err = run(capsys, ["sperner", "--in", big, "--optimize"])
     assert code == 4 and err
+    # every group family's order is checked against the cap before any table is built
+    for verb, spec in (
+        ("cayley", "Z2^40"),
+        ("cayley", "Z:1000000"),
+        ("spectrum", "Z:1000000"),
+        ("cayley", "D:2521"),
+        ("cayley", "prod:Z:72,Z:71"),
+        ("cayley", "S:8"),
+    ):
+        code, out, err = run(capsys, [verb, "--group", spec, "--gens", "1"])
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "unexpected" not in err
 
 
 def test_out_artifact_composition(tmp_path, capsys):

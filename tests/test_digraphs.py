@@ -92,7 +92,7 @@ def test_strong_components_against_networkx():
     for _ in range(30):
         n = int(rng.integers(2, 10))
         D = random_digraph(rng, n, 0.3, loops=True)
-        ours = {frozenset(c) for c in ug.structure_report(D).strong_components}
+        ours = {frozenset(c) for c in ug.strong_components(D)}
         theirs = {frozenset(c) for c in nx.strongly_connected_components(nx_directed(D))}
         assert ours == theirs
 
@@ -278,6 +278,96 @@ def test_bipartition():
     assert ug.bipartition(ug.add_loops(ug.cycle_graph(4))) is None
     with pytest.raises(InputError):
         ug.bipartition(ug.directed_cycle(4))
+
+
+def check_two_colouring(D, parts):
+    """parts 2-colour the underlying loop-free graph, each component's least vertex first."""
+    g = nx_underlying(D)
+    if parts is None:
+        assert not nx.is_bipartite(g)
+        return
+    assert nx.is_bipartite(g)
+    p0, p1 = parts
+    assert sorted(p0 + p1) == list(range(D.n)) and not set(p0) & set(p1)
+    assert list(p0) == sorted(p0) and list(p1) == sorted(p1)
+    assert all((u in p0) != (v in p0) for u, v in g.edges())
+    for comp in nx.connected_components(g):
+        assert min(comp) in p0
+
+
+def test_bipartition_against_networkx():
+    rng = np.random.default_rng(41)
+    kinds = {"bipartite": 0, "odd": 0, "disconnected": 0, "isolated": 0}
+    for k in range(240):
+        n = int(rng.integers(1, 13))
+        density = float(rng.uniform(0.05, 0.5))
+        if k % 4 == 3:
+            # planted bipartite graph: arcs only between two random sides
+            side = rng.random(n) < 0.5
+            a = (rng.random((n, n)) < density) & (side[:, None] != side[None, :])
+            D = Digraph(np.maximum(a, a.T).astype(np.int8))
+        else:
+            D = random_digraph(rng, n, density, symmetric=True, loops=k % 3 == 0)
+        g = nx_underlying(D)
+        kinds["bipartite"] += nx.is_bipartite(g)
+        kinds["odd"] += not nx.is_bipartite(g)
+        kinds["disconnected"] += not nx.is_connected(g)
+        kinds["isolated"] += any(d == 0 for _, d in g.degree())
+        sr = ug.structure_report(D)
+        check_two_colouring(D, sr.parts)
+        if D.has_loops():
+            assert ug.bipartition(D) is None
+        else:
+            assert ug.bipartition(D) == sr.parts
+    assert min(kinds.values()) >= 20
+    # on a digraph the parts colour the underlying loop-free graph
+    for _ in range(60):
+        D = random_digraph(rng, int(rng.integers(2, 13)), 0.15, loops=True)
+        check_two_colouring(D, ug.structure_report(D).parts)
+
+
+def test_automorphism_group_brute():
+    rng = np.random.default_rng(43)
+    transitive = 0
+    for k in range(120):
+        n = int(rng.integers(1, 7))
+        if k % 4 == 0:
+            # circulant digraphs: vertex-transitive, often with one-way arcs
+            first = rng.random(n) < 0.5
+            A = np.array([np.roll(first, i) for i in range(n)], dtype=np.int8)
+        else:
+            A = random_digraph(rng, n, float(rng.uniform(0.2, 0.7)), loops=k % 2 == 1).adj
+        D = Digraph(A)
+        perms = np.array(list(itertools.permutations(range(n))))
+        keep = (A[perms[:, :, None], perms[:, None, :]] == A).all(axis=(1, 2))
+        expected = sorted(tuple(int(v) for v in p) for p in perms[keep])
+        rep = ug.automorphism_group(D)
+        assert list(rep.automorphisms) == expected
+        assert rep.vertex_transitive == all(any(p[0] == v for p in expected) for v in range(n))
+        arcs = D.arcs()
+        orbit = {(p[arcs[0][0]], p[arcs[0][1]]) for p in expected} if arcs else set()
+        assert rep.arc_transitive == (orbit == set(arcs))
+        transitive += rep.vertex_transitive
+    assert 20 <= transitive < 120
+
+
+def test_induced_subgraph_search_brute():
+    rng = np.random.default_rng(47)
+    found = 0
+    for k in range(300):
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 7))
+        H = random_digraph(rng, m, float(rng.uniform(0.1, 0.8)), loops=k % 2 == 0)
+        D = random_digraph(rng, n, float(rng.uniform(0.2, 0.8)), loops=k % 3 == 0)
+        f = ug.induced_subgraph_search(D, H)
+        maps = np.array(list(itertools.permutations(range(n), m)), dtype=int).reshape(-1, m)
+        exists = bool((D.adj[maps[:, :, None], maps[:, None, :]] == H.adj).all(axis=(1, 2)).any())
+        assert (f is not None) == exists
+        if f is not None:
+            assert len(set(f)) == m and all(0 <= v < n for v in f)
+            assert np.array_equal(D.adj[np.ix_(f, f)], H.adj)
+            found += 1
+    assert 50 <= found <= 250
 
 
 def test_induced_subgraph_search():

@@ -7,6 +7,7 @@ from conftest import find_isomorphism, pnk_digraph
 import unigraph as ug
 from unigraph import InputError, ParseError
 from unigraph.groups import (
+    boolean_cube_group,
     build_group,
     cayley_digraph,
     coset_generating_set,
@@ -56,6 +57,19 @@ def test_symmetric_group():
     assert g.names[g.mult(j, i)] == "(1 2 3)"
     with pytest.raises(ug.CapacityError):
         symmetric_group(8)
+
+
+def test_group_order_cap():
+    # the order (n, 2n, product of factors, 2^k, n!) is capped at |S_7| = 5040
+    for build, arg in (
+        (cyclic_group, 5041),
+        (dihedral_group, 2521),
+        (product_of_cyclics, [72, 71]),
+        (boolean_cube_group, 13),
+        (symmetric_group, 8),
+    ):
+        with pytest.raises(ug.CapacityError):
+            build(arg)
 
 
 def test_product_of_cyclics():

@@ -212,5 +212,11 @@ def test_matrix_json_round_trip():
         assert np.allclose(back, m)
     with pytest.raises(InputError):
         matrix_from_jsonable({"n": 2})
-    with pytest.raises(InputError):
-        matrix_from_jsonable({"n": 2, "entries": [[1, 2]]})
+    for bad in (
+        {"n": 2, "entries": [[1, 2]]},
+        {"n": 1, "entries": [["a"]]},
+        {"n": "x", "entries": []},
+        {"n": 1, "entries": [[None]]},
+    ):
+        with pytest.raises(InputError):
+            matrix_from_jsonable(bad)
