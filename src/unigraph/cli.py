@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -221,7 +222,7 @@ def _cmd_cayley(args) -> CommandResult:
         "generators": gens,
         "generator_names": [G.names[s] for s in gens],
         "digraph": digraph_to_jsonable(X),
-        "regular": X.is_regular(),
+        "regular": len(gens),  # g -> s*g is a bijection for each s
         "conditions": [c.to_dict() for c in conds],
         "line_digraph_witness": witness,
     }
@@ -532,10 +533,13 @@ def _run(argv: list[str]) -> int:
             Path(args.out).write_text(_dumps(artifact) + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
-    if args.format == "text":
-        print("\n".join(result.summary))
-    else:
-        print(_dumps(report))
+    try:
+        print("\n".join(result.summary) if args.format == "text" else _dumps(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the interpreter's
+        # final flush of the unwritten rest fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.code
 
 

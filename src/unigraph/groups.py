@@ -15,7 +15,7 @@ import numpy as np
 
 from .digraphs import Digraph, hamiltonian_cycle, permutation_cycles
 from .errors import CapacityError, InputError, ParseError
-from .matrices import Permutation, first_noncomplementary_pair
+from .matrices import Permutation
 from .reporting import FAIL, NOT_APPLICABLE, PASS, Condition
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "build_group",
     "cayley_digraph",
     "regular_representation",
+    "first_noninvolution_pair",
+    "NECESSARY_CONDITIONS",
     "coset_generating_set",
     "line_digraph_witness",
     "unistochastic_group_conditions",
@@ -36,6 +38,18 @@ __all__ = [
 ]
 
 _ORDER_CAP = 5040  # |S_7|; every family's order is checked before its table is built
+_TABLE_CAP = 1024  # explicit tables: the associativity check is cubic (~4 s at 1024)
+
+# conditions whose fail rules out X(G; S) when |S| = 2
+NECESSARY_CONDITIONS = frozenset({
+    "involution-pairs",
+    "even-order",
+    "abelian-double-equal",
+    "cyclic-pair-offset",
+    "product-odd-component-equal",
+    "product-all-odd-singleton",
+    "pairwise-complementary",
+})
 
 
 def _check_order(family: str, factors) -> None:
@@ -67,20 +81,15 @@ class FiniteGroup:
         t.setflags(write=False)
         self.table = t
         arange = np.arange(n)
-        identity = None
-        for e in range(n):
-            if np.array_equal(t[e], arange) and np.array_equal(t[:, e], arange):
-                identity = e
-                break
-        if identity is None:
+        ids = np.flatnonzero((t == arange).all(axis=1) & (t == arange[:, None]).all(axis=0))
+        if ids.size == 0:
             raise InputError("table has no identity element")
-        self.identity = identity
-        inv = np.full(n, -1, dtype=np.int32)
-        for a in range(n):
-            hits = np.flatnonzero(t[a] == identity)
-            if hits.size != 1 or t[hits[0], a] != identity:
-                raise InputError(f"element {a} has no two-sided inverse")
-            inv[a] = hits[0]
+        identity = self.identity = int(ids[0])
+        hits = t == identity
+        inv = hits.argmax(axis=1).astype(np.int32)
+        bad = np.flatnonzero((np.count_nonzero(hits, axis=1) != 1) | (t[inv, arange] != identity))
+        if bad.size:
+            raise InputError(f"element {bad[0]} has no two-sided inverse")
         inv.setflags(write=False)
         self._inv = inv
         if check_associativity:
@@ -204,16 +213,9 @@ def dihedral_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("need n >= 1")
     _check_order(f"D:{n}", (2, n))
-    m = 2 * n
-    table = np.zeros((m, m), dtype=np.int32)
-    for f1 in (0, 1):
-        for r1 in range(n):
-            a = f1 * n + r1
-            for f2 in (0, 1):
-                for r2 in range(n):
-                    b = f2 * n + r2
-                    r = (r1 - r2) % n if f1 else (r1 + r2) % n
-                    table[a, b] = (f1 ^ f2) * n + r
+    f, r = np.divmod(np.arange(2 * n), n)
+    f1, r1 = f[:, None], r[:, None]
+    table = (f1 ^ f) * n + (r1 + (1 - 2 * f1) * r) % n
     names = []
     for f in (0, 1):
         for r in range(n):
@@ -257,6 +259,9 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def explicit_group(table, names=None) -> FiniteGroup:
+    """Group from an outside table; its cubic associativity check caps it at _TABLE_CAP rows."""
+    if isinstance(table, (list, tuple, np.ndarray)) and len(table) > _TABLE_CAP:
+        raise CapacityError(f"explicit table has {len(table)} rows, above the cap of {_TABLE_CAP}")
     return FiniteGroup(table, names=names, source=("explicit", ()), check_associativity=True)
 
 
@@ -361,48 +366,19 @@ def line_digraph_witness(G: FiniteGroup, S) -> tuple[int, tuple[int, ...]] | Non
     return None
 
 
-def _pair_conditions(G: FiniteGroup, gens: list[int]) -> list[Condition]:
-    conds = []
-    bad = None
+def first_noninvolution_pair(G: FiniteGroup, S) -> tuple[int, int] | None:
+    """First pair (s, t) of S, in `combinations` order, with s*t^-1 != t*s^-1.
+
+    s*t^-1 = t*s^-1 says that (s*t^-1)^2 = e.  The one test decides three
+    conditions.  It is `complementary(P_s, P_t)` for the permutations
+    g -> s*g and g -> t*g: with h = s^-1*t*i, "q(i) = p(h) implies
+    q(h) = p(i)" reads t*s^-1*t = s.  On an abelian group it is s^2 = t^2.
+    """
+    gens = G._check_elements(S)
     for s, t in combinations(gens, 2):
         if G.mult(s, G.inv(t)) != G.mult(t, G.inv(s)):
-            bad = (s, t)
-            break
-    conds.append(
-        Condition(
-            "involution-pairs",
-            FAIL if bad else PASS,
-            witness={"pair": bad} if bad else None,
-        )
-    )
-
-    if len(gens) < 2:
-        conds.append(
-            Condition(
-                "even-order",
-                NOT_APPLICABLE,
-                witness={"note": "a single generator always has a realizable pattern"},
-            )
-        )
-    else:
-        conds.append(
-            Condition(
-                "even-order",
-                PASS if G.order % 2 == 0 else FAIL,
-                witness={"order": G.order},
-            )
-        )
-
-    if not G.is_abelian():
-        conds.append(Condition("abelian-double-equal", NOT_APPLICABLE))
-    else:
-        bad = None
-        for s, t in combinations(gens, 2):
-            if G.mult(s, s) != G.mult(t, t):
-                bad = {"pair": (s, t), "squares": (G.mult(s, s), G.mult(t, t))}
-                break
-        conds.append(Condition("abelian-double-equal", FAIL if bad else PASS, witness=bad))
-    return conds
+            return s, t
+    return None
 
 
 def _cyclic_conditions(G: FiniteGroup, gens: list[int]) -> list[Condition]:
@@ -413,10 +389,7 @@ def _cyclic_conditions(G: FiniteGroup, gens: list[int]) -> list[Condition]:
     )
 
     pair_ok = len(gens) == 2 and n % 2 == 0 and (max(gens) - min(gens)) == n // 2
-    if len(gens) != 2:
-        witness = {"size": len(gens)}
-    else:
-        witness = {"difference": max(gens) - min(gens), "expected": n // 2 if n % 2 == 0 else None}
+    witness = {"difference": max(gens) - min(gens), "expected": n // 2 if n % 2 == 0 else None}
     conds.append(Condition("cyclic-pair-offset", PASS if pair_ok else FAIL, witness=witness))
 
     if not pair_ok:
@@ -522,30 +495,47 @@ def unistochastic_group_conditions(G: FiniteGroup, S) -> tuple[Condition, ...]:
     """Evaluate the conditions a Cayley pattern must meet to come from a
     unistochastic matrix, plus the instance checks of the cyclic/product suites.
 
-    A fail on one of the necessary conditions (involution-pairs, even-order,
-    abelian-double-equal, cyclic-pair-offset, product-*, pairwise-complementary)
-    rules the pattern out; the remaining cyclic items report whether the
-    expected structural facts (generation, graph form, hamiltonicity) hold for
-    this instance.
+    The necessary conditions (`NECESSARY_CONDITIONS`) are derived for two
+    generators, and for |S| = 2 a fail on any of them rules the pattern out.
+    A single generator gives a permutation pattern, which is always realizable:
+    nothing fails on it, and even-order and cyclic-pair-offset are
+    not-applicable.  For |S| >= 3 every necessary condition is not-applicable
+    (X(Z_3; Z_3) = J_3 is realized by DFT(3), yet five of them would fail).
+    The remaining cyclic items report whether the expected structural facts
+    (generation, graph form, hamiltonicity) hold for this instance.
     """
     gens = G._check_elements(S)
     if len(set(gens)) != len(gens):
         raise InputError("generator list contains duplicates")
-    conds = _pair_conditions(G, gens)
+    bad = first_noninvolution_pair(G, gens) if len(gens) == 2 else None
+
+    def pair_condition(name: str) -> Condition:
+        return Condition(name, FAIL, {"pair": bad}) if bad else Condition(name, PASS)
+
+    conds = [
+        pair_condition("involution-pairs"),
+        Condition("even-order", PASS if G.order % 2 == 0 else FAIL, {"order": G.order}),
+    ]
+    if not G.is_abelian():
+        conds.append(Condition("abelian-double-equal", NOT_APPLICABLE))
+    elif bad:
+        squares = (G.mult(bad[0], bad[0]), G.mult(bad[1], bad[1]))
+        conds.append(Condition("abelian-double-equal", FAIL, {"pair": bad, "squares": squares}))
+    else:
+        conds.append(Condition("abelian-double-equal", PASS))
     if G.source[0] == "cyclic":
         conds.extend(_cyclic_conditions(G, gens))
     if G.source[0] == "product":
         conds.extend(_product_conditions(G, gens))
-    reps = [regular_representation(G, s) for s in gens]
-    bad = first_noncomplementary_pair(reps)
-    conds.append(
-        Condition(
-            "pairwise-complementary",
-            FAIL if bad else PASS,
-            witness={"pair": (gens[bad[0]], gens[bad[1]])} if bad else None,
-        )
-    )
-    return tuple(conds)
+    conds.append(pair_condition("pairwise-complementary"))
+    # the suites above are written for |S| = 2
+    if len(gens) == 1:
+        note, names = "a single generator always has a realizable pattern", {"even-order", "cyclic-pair-offset"}
+    elif len(gens) > 2:
+        note, names = "derived for two generators only", NECESSARY_CONDITIONS
+    else:
+        return tuple(conds)
+    return tuple(Condition(c.name, NOT_APPLICABLE, {"note": note}) if c.name in names else c for c in conds)
 
 
 def parse_element_list(G: FiniteGroup, text: str) -> list[int]:

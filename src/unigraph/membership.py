@@ -342,11 +342,13 @@ def alternating_projection(target: Digraph, cfg: SolverConfig | None = None) -> 
     alternates: project to the nearest unitary (polar factor), zero the
     forbidden entries.  The polar factor ignores positive scaling, so the
     iterate is never renormalized.  Success requires unitarity residual
-    <= tol with every required entry above the magnitude floor; a run whose
-    support collapses restarts.  Restart r uses seed^r; the first success by
-    restart index is returned, so results are reproducible and identical to
-    serial execution.  None after all restarts means "undecided", never
-    "not a member".
+    <= tol with every required entry above the magnitude floor; a unitary on
+    a proper subpattern restarts.  On a nonempty pattern the iterate never
+    collapses: x' = polar(x)*mask has <x', x> = ||x||_* >= ||x||_F, so
+    ||x'||_F >= 1.  Restart r uses seed^r; the first success by restart
+    index is returned, so results are reproducible and identical to serial
+    execution.  None after all restarts means "undecided", never "not a
+    member".
     """
     cfg = cfg or SolverConfig()
     mask = target.adj.astype(np.float64)
@@ -371,8 +373,6 @@ def alternating_projection(target: Digraph, cfg: SolverConfig | None = None) -> 
                 stall += 1
                 if stall >= _STALL_WINDOW:
                     break
-            if np.linalg.norm(x, "fro") < 1e-12:
-                break
     return None
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -177,6 +180,25 @@ def test_capacity_exit_code(tmp_path, capsys):
         code, out, err = run(capsys, [verb, "--group", spec, "--gens", "1"])
         assert code == 4 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "unexpected" not in err
+    # explicit tables are refused on their row count, before any check runs
+    table = tmp_path / "big.json"
+    table.write_text(json.dumps({"table": [[]] * 1025}))
+    code, out, err = run(capsys, ["cayley", "--group", f"table:{table}", "--gens", "1"])
+    assert code == 4 and out == "" and err.startswith("error:")
+
+
+def test_closed_stdout_keeps_exit_code():
+    # the report (a 600-vertex digraph) overfills the pipe, so the reader's close interrupts it
+    env = dict(os.environ, PYTHONPATH=str(Path(ug.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unigraph.cli", "cayley", "--group", "Z:600", "--gens", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(64)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_out_artifact_composition(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import find_isomorphism, pnk_digraph
 import unigraph as ug
 from unigraph import InputError, ParseError
 from unigraph.groups import (
+    NECESSARY_CONDITIONS,
     boolean_cube_group,
     build_group,
     cayley_digraph,
@@ -14,6 +16,7 @@ from unigraph.groups import (
     cyclic_group,
     dihedral_group,
     explicit_group,
+    first_noninvolution_pair,
     line_digraph_witness,
     parse_element_list,
     product_of_cyclics,
@@ -22,6 +25,10 @@ from unigraph.groups import (
     unistochastic_group_conditions,
 )
 from unigraph.linedigraphs import Multidigraph, line_digraph
+from unigraph.matrices import complementary, first_noncomplementary_pair
+from unigraph.membership import SolverConfig, certify
+
+FAST = SolverConfig(restarts=6, max_iter=600)
 
 
 def cond_map(conds):
@@ -293,3 +300,84 @@ def test_conditions_skip_foreign_suites():
     assert by["abelian-double-equal"].status == "not-applicable"
     assert "cyclic-pair-offset" not in by
     assert "product-odd-component-equal" not in by
+
+
+def test_dihedral_table_matches_elementwise_rule():
+    for n in range(1, 13):
+        g = dihedral_group(n)
+        for a in range(2 * n):
+            f1, r1 = divmod(a, n)
+            for b in range(2 * n):
+                f2, r2 = divmod(b, n)
+                r = (r1 - r2) % n if f1 else (r1 + r2) % n
+                assert g.mult(a, b) == (f1 ^ f2) * n + r
+
+
+def test_identity_and_inverse_messages():
+    with pytest.raises(InputError, match="table has no identity element"):
+        explicit_group([[0, 0], [0, 0]])
+    # row 1 holds no identity
+    with pytest.raises(InputError, match="element 1 has no two-sided inverse"):
+        explicit_group([[0, 1, 2], [1, 1, 1], [2, 1, 2]])
+    # 1*2 = e but 2*1 != e
+    with pytest.raises(InputError, match="element 1 has no two-sided inverse"):
+        explicit_group([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    # element 1 is its own inverse; the first offender is 2
+    with pytest.raises(InputError, match="element 2 has no two-sided inverse"):
+        explicit_group([[0, 1, 2], [1, 0, 2], [2, 2, 2]])
+
+
+def test_explicit_table_cap():
+    with pytest.raises(ug.CapacityError):
+        explicit_group(np.zeros((1025, 1025)))
+
+
+SMALL_GROUPS = (
+    [f"Z:{n}" for n in range(1, 13)]
+    + [f"D:{n}" for n in range(1, 7)]
+    + ["S:1", "S:2", "S:3", "Z2^2", "Z2^3", "prod:Z:2,Z:4", "prod:Z:2,Z:6", "prod:Z:3,Z:3"]
+)
+
+
+def test_pair_test_matches_complementarity_and_squares():
+    for spec in SMALL_GROUPS:
+        g = build_group(spec)
+        reps = [regular_representation(g, s) for s in range(g.order)]
+        for s in range(g.order):
+            for t in range(g.order):
+                if s == t:
+                    continue
+                bad = first_noninvolution_pair(g, [s, t])
+                assert bad in (None, (s, t))
+                assert (bad is None) == complementary(reps[s], reps[t]), (spec, s, t)
+                if g.is_abelian():
+                    assert (bad is None) == (g.mult(s, s) == g.mult(t, t)), (spec, s, t)
+                by = cond_map(unistochastic_group_conditions(g, [s, t]))
+                for name in ("involution-pairs", "pairwise-complementary"):
+                    assert by[name].status == ("pass" if bad is None else "fail")
+                    assert by[name].witness == (None if bad is None else {"pair": (s, t)})
+        # on longer lists both scans stop at the same pair, in combinations order
+        for S in (list(range(g.order)), list(range(g.order))[::-1]):
+            first = first_noncomplementary_pair([reps[x] for x in S])
+            assert first_noninvolution_pair(g, S) == (first and (S[first[0]], S[first[1]]))
+
+
+def test_certified_cayley_patterns_fail_no_necessary_condition():
+    # J_3 = X(Z_3; Z_3) and J_4 are realized by DFT(3) and DFT(4)
+    for n in (3, 4):
+        g = cyclic_group(n)
+        assert certify(cayley_digraph(g, range(n)), FAST).status == "certified"
+    cases = [(cyclic_group(4), [0, 1, 2, 3])]
+    for spec in ("Z:2", "Z:3", "Z:4", "Z:5", "Z:6", "Z:7", "Z:8", "Z:9",
+                 "D:2", "D:3", "D:4", "S:3", "Z2^3", "prod:Z:2,Z:4"):
+        g = build_group(spec)
+        sizes = (1, 2, 3) if g.order <= 6 and spec != "S:3" else (1, 2)
+        cases += [(g, list(S)) for k in sizes for S in combinations(range(g.order), k)]
+    certified = 0
+    for g, S in cases:
+        if certify(cayley_digraph(g, S), FAST).status != "certified":
+            continue
+        certified += 1
+        for c in unistochastic_group_conditions(g, S):
+            assert not (c.name in NECESSARY_CONDITIONS and c.status == "fail"), (g, S, c)
+    assert certified > 150
