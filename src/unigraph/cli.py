@@ -28,6 +28,7 @@ from . import __version__
 from .digraphs import Digraph, add_loops, hypercube_graph
 from .errors import CapacityError, InputError, InternalError, ParseError
 from .groups import (
+    _TABLE_CAP,
     build_group,
     cayley_digraph,
     coset_generating_set,
@@ -212,6 +213,10 @@ def _cmd_certify(args) -> CommandResult:
 
 def _cmd_cayley(args) -> CommandResult:
     G = build_group(args.group)
+    if G.order > _TABLE_CAP:
+        raise CapacityError(
+            f"cayley reports inline the {G.order}x{G.order} adjacency; groups are capped at order {_TABLE_CAP}"
+        )
     gens = parse_element_list(G, args.gens)
     X = cayley_digraph(G, gens)
     conds = unistochastic_group_conditions(G, gens)

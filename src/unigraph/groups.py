@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _ORDER_CAP = 5040  # |S_7|; every family's order is checked before its table is built
-_TABLE_CAP = 1024  # explicit tables: the associativity check is cubic (~4 s at 1024)
+_TABLE_CAP = 1024  # explicit tables (cubic associativity check, ~4 s at 1024) and cayley reports
 
 # conditions whose fail rules out X(G; S) when |S| = 2
 NECESSARY_CONDITIONS = frozenset({
@@ -247,15 +247,27 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise InputError("need n >= 1")
     _check_order(f"S:{n}", range(1, n + 1))
     perms = np.array(list(permutations(range(n))), dtype=np.int8)
-    m = perms.shape[0]
-    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = perms.astype(np.int64) @ powers
-    table = np.empty((m, m), dtype=np.int32)
-    for i in range(m):
-        composed = perms[i][perms]
-        table[i] = np.searchsorted(keys, composed.astype(np.int64) @ powers)
     names = [_cycle_name(tuple(int(v) for v in p)) for p in perms]
-    return FiniteGroup(table, names=names, source=("symmetric", (n,)))
+    return FiniteGroup(_composition_ranks(perms), names=names, source=("symmetric", (n,)))
+
+
+def _composition_ranks(perms: np.ndarray) -> np.ndarray:
+    """Entry (i, j): the index of perms[i][perms[j]] in the lexicographic list `perms`.
+
+    The index of a permutation is its Lehmer code, whose digit k counts the
+    later entries below entry k; every composition is ranked at once.
+    """
+    cols = np.ascontiguousarray(perms.T)  # cols[k, i] = perms[i][k]
+    ranks = np.zeros((len(perms),) * 2, dtype=np.int16)  # 7! < 2**15
+    digit = np.empty(ranks.shape, dtype=np.int8)
+    for k in range(len(cols) - 1):
+        entry = cols[cols[k]]  # entry[j, i] is entry k of perms[i][perms[j]]
+        digit[...] = 0
+        for later in range(k + 1, len(cols)):
+            digit += (cols[cols[later]] < entry).view(np.int8)
+        ranks *= len(cols) - k
+        ranks += digit
+    return np.array(ranks.T, dtype=np.int32, order="C")
 
 
 def explicit_group(table, names=None) -> FiniteGroup:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,13 @@ def _square(m) -> np.ndarray:
     return a
 
 
+def _stack(m) -> np.ndarray:
+    a = np.asarray(m)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise InputError(f"need a nonempty square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
 def support(m, tol: float = 1e-9) -> Digraph:
     """Digraph of a matrix: arc (i, j) present iff |m[i, j]| > tol."""
     a = _square(m)
@@ -50,13 +58,30 @@ def support(m, tol: float = 1e-9) -> Digraph:
     return Digraph((np.abs(a) > tol).astype(np.int8))
 
 
-def unitarity_residual(m) -> float:
-    """Max entrywise deviation of M·M† and M†·M from the identity."""
-    a = _square(m).astype(np.complex128)
-    eye = np.eye(a.shape[0])
-    left = np.abs(a @ a.conj().T - eye).max()
-    right = np.abs(a.conj().T @ a - eye).max()
-    return float(max(left, right))
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def unitarity_residual(m) -> float | np.ndarray:
+    """Max entrywise deviation of M·M† and M†·M from the identity.
+
+    Like numpy's `linalg`, a stack (..., n, n) gives one residual per
+    matrix as an array; a single matrix gives a float.
+    """
+    a = np.ascontiguousarray(_stack(m), dtype=np.complex128)
+    ah = a.conj().swapaxes(-1, -2)
+    eye = _identity(a.shape[-1])
+    left = a @ ah
+    left -= eye
+    right = ah @ a
+    right -= eye
+    dev = np.abs(left)
+    np.maximum(dev, np.abs(right), out=dev)
+    r = np.maximum.reduce(dev, axis=(-2, -1))
+    return float(r) if a.ndim == 2 else r
 
 
 def dft(n: int) -> np.ndarray:
@@ -148,9 +173,10 @@ def nearest_unitary(m) -> np.ndarray:
 
     From the singular-value factorization m = U·S·V† it is U·V†, so that
     U·V† times the Hermitian V·S·V† gives back m.  The same formula serves
-    singular input, where it is one of several nearest unitaries.
+    singular input, where it is one of several nearest unitaries.  A stack
+    (..., n, n) gives the polar factor of each matrix.
     """
-    u, _, vh = np.linalg.svd(_square(m).astype(np.complex128))
+    u, _, vh = np.linalg.svd(_stack(m).astype(np.complex128, copy=False))
     return u @ vh
 
 

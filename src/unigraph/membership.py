@@ -333,6 +333,14 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
 # === numerical realization ===
 
 _STALL_WINDOW = 50
+_POOL_CAP = 64  # live restarts at most, so memory stays O(64 n^2) under any budget
+
+
+def _restart_start(seed: int, mask: np.ndarray) -> np.ndarray:
+    """A restart's first iterate: seeded complex Gaussian entries on the mask."""
+    rng = np.random.default_rng(seed)
+    shape = mask.shape
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
 
 
 def alternating_projection(target: Digraph, cfg: SolverConfig | None = None) -> np.ndarray | None:
@@ -343,37 +351,72 @@ def alternating_projection(target: Digraph, cfg: SolverConfig | None = None) -> 
     forbidden entries.  The polar factor ignores positive scaling, so the
     iterate is never renormalized.  Success requires unitarity residual
     <= tol with every required entry above the magnitude floor; a unitary on
-    a proper subpattern restarts.  On a nonempty pattern the iterate never
-    collapses: x' = polar(x)*mask has <x', x> = ||x||_* >= ||x||_F, so
-    ||x'||_F >= 1.  Restart r uses seed^r; the first success by restart
-    index is returned, so results are reproducible and identical to serial
-    execution.  None after all restarts means "undecided", never "not a
-    member".
+    a proper subpattern ends the restart, as do _STALL_WINDOW steps without
+    progress and an exhausted iteration budget.  On a nonempty pattern the
+    iterate never collapses: x' = polar(x)*mask has <x', x> = ||x||_* >=
+    ||x||_F, so ||x'||_F >= 1.
+
+    Restart r starts from seed^r.  The restarts run in lockstep as one pool:
+    the live iterates form a (w, n, n) stack that takes one polar factor and
+    one residual per round, and a restart that ends leaves the stack.  The
+    width w is the number of restarts failed so far, at least 1 and at most
+    _POOL_CAP, so a pattern whose restart 0 succeeds runs alone.  Until one
+    succeeds, the next restart indices are drawn in; once restart k
+    succeeds, those above it are dropped and the lower ones run to their
+    end.  The lowest successful index wins, so the result is the serial
+    order's, byte for byte.  None after all restarts means "undecided",
+    never "not a member".
     """
     cfg = cfg or SolverConfig()
-    mask = target.adj.astype(np.float64)
+    mask = target.adj.astype(np.complex128)  # complex, so the product casts nothing
     required = target.adj.astype(bool)
     n = target.n
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed ^ r)
-        x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * mask
-        best = np.inf
-        stall = 0
-        for _ in range(cfg.max_iter):
-            x = nearest_unitary(x) * mask
-            res = unitarity_residual(x)
-            if res <= cfg.tol:
-                if (np.abs(x)[required] > cfg.min_magnitude).all():
-                    return x
-                break  # unitary found, but on a proper subpattern: restart
-            if res < best - 1e-12:
-                best = res
-                stall = 0
-            else:
-                stall += 1
-                if stall >= _STALL_WINDOW:
-                    break
-    return None
+    tol = cfg.tol
+    # one slot per live restart, in ascending restart order
+    x = masks = np.empty((0, n, n), dtype=np.complex128)
+    thresh = np.empty(0)  # best residual so far, less the 1e-12 that counts as progress
+    stall_end = np.empty(0, dtype=np.int64)  # round that ends a restart making no progress
+    deadline = np.empty(0, dtype=np.int64)  # round that exhausts its max_iter budget
+    drawn = failed = t = 0
+    width = 1  # slots to keep filled: the failures so far, capped; 0 once a restart succeeds
+    check = 0  # no slot stalls or runs out before this round; slots drawn later end later
+    winner = None
+    while True:
+        if len(thresh) < width and drawn < cfg.restarts:
+            room = min(width - len(thresh), cfg.restarts - drawn)
+            starts = [_restart_start(cfg.seed ^ r, mask) for r in range(drawn, drawn + room)]
+            x = np.concatenate([x, starts])
+            thresh = np.concatenate([thresh, np.full(room, np.inf)])
+            stall_end = np.concatenate([stall_end, np.full(room, t + _STALL_WINDOW)])
+            deadline = np.concatenate([deadline, np.full(room, t + cfg.max_iter)])
+            drawn += room
+        if not len(thresh):
+            return winner
+        if len(masks) != len(x):  # the width changed: a stack of masks multiplies faster
+            masks = np.broadcast_to(mask, x.shape).copy()
+        t += 1
+        x = nearest_unitary(x)
+        x *= masks
+        res = unitarity_residual(x)
+        improved = res < thresh
+        thresh[improved] = res[improved] - 1e-12
+        stall_end[improved] = t + _STALL_WINDOW
+        if t >= check:  # stall_end only grows, so its minimum is read once in a while
+            check = int(min(np.minimum.reduce(stall_end), deadline[0]))
+        hit = res <= tol
+        if t < check and not np.count_nonzero(hit):
+            continue
+        keep = ~hit & (stall_end > t) & (deadline > t)
+        for k in np.flatnonzero(hit):
+            if (np.abs(x[k])[required] > cfg.min_magnitude).all():
+                winner = x[k].copy()
+                keep[k:] = False  # every later slot holds a higher restart index
+                width = 0
+                break
+        if winner is None:
+            failed += len(keep) - np.count_nonzero(keep)
+            width = min(failed, _POOL_CAP) or 1
+        x, thresh, stall_end, deadline = x[keep], thresh[keep], stall_end[keep], deadline[keep]
 
 
 # === Sperner capacity ===

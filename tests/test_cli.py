@@ -176,6 +176,7 @@ def test_capacity_exit_code(tmp_path, capsys):
         ("cayley", "D:2521"),
         ("cayley", "prod:Z:72,Z:71"),
         ("cayley", "S:8"),
+        ("cayley", "Z:1025"),
     ):
         code, out, err = run(capsys, [verb, "--group", spec, "--gens", "1"])
         assert code == 4 and out == ""

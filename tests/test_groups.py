@@ -313,6 +313,19 @@ def test_dihedral_table_matches_elementwise_rule():
                 assert g.mult(a, b) == (f1 ^ f2) * n + r
 
 
+def test_symmetric_table_matches_sorted_search():
+    from itertools import permutations
+
+    for n in range(1, 7):
+        perms = np.array(list(permutations(range(n))), dtype=np.int8)
+        powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        keys = perms.astype(np.int64) @ powers
+        want = np.empty((len(perms), len(perms)), dtype=np.int32)
+        for i in range(len(perms)):
+            want[i] = np.searchsorted(keys, perms[i][perms].astype(np.int64) @ powers)
+        assert np.array_equal(symmetric_group(n).table, want)
+
+
 def test_identity_and_inverse_messages():
     with pytest.raises(InputError, match="table has no identity element"):
         explicit_group([[0, 0], [0, 0]])

@@ -40,6 +40,28 @@ def test_unitarity_residual():
     assert unitarity_residual(dft(8)) < 1e-14
 
 
+def test_stacked_polar_factor_and_residual_match_per_matrix():
+    rng = np.random.default_rng(3)
+    for shape in ((1, 1, 1), (1, 6, 6), (3, 5, 5), (64, 6, 6), (2, 3, 4, 4)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x[..., 0, -1] = 0  # a masked entry, as the solver's iterates have
+        u = nearest_unitary(x)
+        r = unitarity_residual(x)
+        assert u.shape == shape and isinstance(r, np.ndarray) and r.shape == shape[:-2]
+        for k in np.ndindex(*shape[:-2]):
+            assert u[k].tobytes() == nearest_unitary(x[k]).tobytes()
+            one = unitarity_residual(x[k])
+            assert type(one) is float and r[k] == one
+    # integer and real stacks are measured as complex, like single matrices
+    ints = np.array([np.eye(3, dtype=np.int64), np.ones((3, 3), dtype=np.int64)])
+    assert unitarity_residual(ints).tolist() == [0.0, 3.0]
+    for bad in (np.zeros((2, 3, 4)), np.zeros((2, 0, 0)), np.zeros(4)):
+        with pytest.raises(InputError):
+            unitarity_residual(bad)
+        with pytest.raises(InputError):
+            nearest_unitary(bad)
+
+
 def test_dft_unitary_and_full_support():
     for n in (1, 2, 3, 5, 8, 16, 33, 64):
         f = dft(n)

@@ -20,7 +20,7 @@ from unigraph import (
 )
 from unigraph import Multidigraph, membership
 from unigraph.linedigraphs import _row_column_blocks, line_digraph, recognize_line_digraph
-from unigraph.matrices import dft
+from unigraph.matrices import dft, nearest_unitary, unitarity_residual
 
 BATTERY_ORDER = (
     "quadrangularity",
@@ -267,6 +267,111 @@ def test_alternating_projection_permutation_support():
 def test_alternating_projection_small_budget_returns_none():
     D = ug.complete_graph(4)
     assert alternating_projection(D, SolverConfig(restarts=1, max_iter=2)) is None
+
+
+def _serial_reference(target, cfg=None):
+    """The solver's restart loop as it ran before the pool: one restart after another."""
+    cfg = cfg or SolverConfig()
+    mask = target.adj.astype(np.float64)
+    required = target.adj.astype(bool)
+    n = target.n
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed ^ r)
+        x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * mask
+        best = np.inf
+        stall = 0
+        for _ in range(cfg.max_iter):
+            x = nearest_unitary(x) * mask
+            res = unitarity_residual(x)
+            if res <= cfg.tol:
+                if (np.abs(x)[required] > cfg.min_magnitude).all():
+                    return x
+                break  # unitary found, but on a proper subpattern: restart
+            if res < best - 1e-12:
+                best = res
+                stall = 0
+            else:
+                stall += 1
+                if stall >= membership._STALL_WINDOW:
+                    break
+    return None
+
+
+def _restart_ending(target, cfg, r):
+    """How restart r ends when run alone, and after how many iterations."""
+    mask = target.adj.astype(np.float64)
+    required = target.adj.astype(bool)
+    rng = np.random.default_rng(cfg.seed ^ r)
+    x = (rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)) * mask
+    best, stall = np.inf, 0
+    for i in range(1, cfg.max_iter + 1):
+        x = nearest_unitary(x) * mask
+        res = unitarity_residual(x)
+        if res <= cfg.tol:
+            return ("success" if (np.abs(x)[required] > cfg.min_magnitude).all() else "subpattern"), i
+        if res < best - 1e-12:
+            best, stall = res, 0
+        else:
+            stall += 1
+            if stall >= membership._STALL_WINDOW:
+                return "stalled", i
+    return "exhausted", cfg.max_iter
+
+
+def _pool_run(monkeypatch, target, cfg):
+    """The pool's answer, the round each restart it drew entered, and the width of every round."""
+    widths, entered = [], {}
+    polar, start = membership.nearest_unitary, membership._restart_start
+
+    def counted_polar(x):
+        widths.append(len(x))
+        return polar(x)
+
+    def recorded_start(seed, mask):
+        entered[seed ^ cfg.seed] = len(widths)
+        return start(seed, mask)
+
+    with monkeypatch.context() as m:
+        m.setattr(membership, "nearest_unitary", counted_polar)
+        m.setattr(membership, "_restart_start", recorded_start)
+        return alternating_projection(target, cfg), entered, widths
+
+
+def test_restart_pool_matches_serial_order(monkeypatch):
+    rng = np.random.default_rng(5)
+    targets = [ug.complete_graph(n) for n in range(4, 8)]
+    targets += [membership._mask_to_digraph(6, 15870), membership._mask_to_digraph(6, 6142)]
+    targets += [ug.path_graph(3)]  # not a member: every restart stalls
+    targets += [random_digraph(rng, int(rng.integers(3, 7)), 0.6, symmetric=bool(k % 2)) for k in range(6)]
+    cases = [(D, SolverConfig(restarts=r, max_iter=it, seed=seed))
+             for D in targets for r, it in ((1, 40), (3, 400), (50, 120)) for seed in (0, 34)]
+    # the last budget fails restarts fast enough for the width to reach the cap
+    cases += [(membership._mask_to_digraph(5, 511), SolverConfig(restarts=r, max_iter=it))
+              for r, it in ((3, 2000), (50, 60), (130, 3))]
+    endings, overtaken, widest = set(), [], 0
+    for D, cfg in cases:
+        got, entered, widths = _pool_run(monkeypatch, D, cfg)
+        want = _serial_reference(D, cfg)
+        assert (got is None) == (want is None), (D.adj.tolist(), cfg)
+        assert got is None or got.tobytes() == want.tobytes(), (D.adj.tolist(), cfg)
+        assert list(entered) == list(range(len(entered)))  # restarts enter in index order
+        assert widths[0] == 1
+        widest = max(widest, *widths)
+        ends = {r: _restart_ending(D, cfg, r) for r in entered}
+        endings |= {e for e, _ in ends.values()}
+        wins = [r for r, (e, _) in ends.items() if e == "success"]
+        assert (got is None) == (not wins)
+        # each restart lives exactly its serial iterations, unless a lower one succeeded first
+        done = {r: entered[r] + i for r, (_, i) in ends.items()}
+        for t, w in enumerate(widths, 1):
+            assert w == sum(1 for r in entered if entered[r] < t <= done[r]
+                            and not any(j < r and done[j] < t for j in wins)), (D.adj.tolist(), cfg, t)
+        if wins:
+            k = min(wins)  # the winner; a later restart may finish first and be dropped
+            overtaken += [(k, j) for j in wins if j > k and entered[j] + ends[j][1] < entered[k] + ends[k][1]]
+    assert endings == {"success", "subpattern", "stalled", "exhausted"}
+    assert overtaken
+    assert widest == membership._POOL_CAP
 
 
 def test_sperner_uniform_exact():
