@@ -212,11 +212,7 @@ def _cmd_certify(args) -> CommandResult:
 
 
 def _cmd_cayley(args) -> CommandResult:
-    G = build_group(args.group)
-    if G.order > _TABLE_CAP:
-        raise CapacityError(
-            f"cayley reports inline the {G.order}x{G.order} adjacency; groups are capped at order {_TABLE_CAP}"
-        )
+    G = build_group(args.group, _TABLE_CAP)
     gens = parse_element_list(G, args.gens)
     X = cayley_digraph(G, gens)
     conds = unistochastic_group_conditions(G, gens)
@@ -302,7 +298,7 @@ def _cmd_hypercube(args) -> CommandResult:
 
 
 def _cmd_theorem1(args) -> CommandResult:
-    G = build_group(args.group)
+    G = build_group(args.group, _TABLE_CAP)
     gens = parse_element_list(G, args.gens)
     if len(gens) != 2:
         raise InputError(f"theorem1 needs exactly two generators, got {len(gens)}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from itertools import combinations, permutations, repeat
 
 import numpy as np
@@ -38,7 +39,9 @@ __all__ = [
 ]
 
 _ORDER_CAP = 5040  # |S_7|; every family's order is checked before its table is built
-_TABLE_CAP = 1024  # explicit tables (cubic associativity check, ~4 s at 1024) and cayley reports
+# explicit tables (cubic associativity check, ~4 s at 1024), and the cayley and
+# theorem1 reports, which inline an order x order matrix
+_TABLE_CAP = 1024
 
 # conditions whose fail rules out X(G; S) when |S| = 2
 NECESSARY_CONDITIONS = frozenset({
@@ -52,13 +55,13 @@ NECESSARY_CONDITIONS = frozenset({
 })
 
 
-def _check_order(family: str, factors) -> None:
+def _check_order(family: str, factors, cap: int) -> None:
     """CapacityError once the running product of `factors` (the order) passes the cap."""
     order = 1
     for f in factors:
         order *= f
-        if order > _ORDER_CAP:
-            raise CapacityError(f"{family} has order above the group cap of {_ORDER_CAP}")
+        if order > cap:
+            raise CapacityError(f"{family} has order above the group cap of {cap}")
 
 
 class FiniteGroup:
@@ -72,12 +75,20 @@ class FiniteGroup:
     __slots__ = ("table", "names", "identity", "_inv", "source")
 
     def __init__(self, table, names=None, *, source=("explicit", ()), check_associativity=False):
-        t = np.array(table, dtype=np.int32)
-        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 1:
-            raise InputError(f"multiplication table must be square, got shape {t.shape}")
-        n = t.shape[0]
-        if t.min() < 0 or t.max() >= n:
+        if not isinstance(table, np.ndarray):  # one object per entry, so no cast can truncate, parse or overflow it first
+            table = np.array(table, dtype=object)
+        if table.dtype.kind == "O":
+            integral = all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in table.flat)
+        else:
+            integral = table.dtype.kind in "iu"
+        if not integral:
+            raise InputError("table entries must be integers")
+        if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 1:
+            raise InputError(f"multiplication table must be square, got shape {table.shape}")
+        n = table.shape[0]
+        if table.min() < 0 or table.max() >= n:
             raise InputError("table entries must be element indices")
+        t = table.astype(np.int32)
         t.setflags(write=False)
         self.table = t
         arange = np.arange(n)
@@ -161,16 +172,16 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, source={kind}{params})"
 
 
-def cyclic_group(n: int) -> FiniteGroup:
+def cyclic_group(n: int, cap: int = _ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise InputError("need n >= 1")
-    _check_order(f"Z:{n}", (n,))
+    _check_order(f"Z:{n}", (n,), cap)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table, names=[str(i) for i in range(n)], source=("cyclic", (n,)))
 
 
-def product_of_cyclics(factors) -> FiniteGroup:
+def product_of_cyclics(factors, cap: int = _ORDER_CAP) -> FiniteGroup:
     """Direct product of cyclic groups; the first factor is least significant.
 
     With factors (2,)*k the element index read as a bitmask has bit i equal
@@ -179,7 +190,7 @@ def product_of_cyclics(factors) -> FiniteGroup:
     ns = tuple(int(f) for f in factors)
     if not ns or any(f < 1 for f in ns):
         raise InputError(f"factors must be positive, got {ns}")
-    _check_order("prod:" + ",".join(f"Z:{f}" for f in ns), ns)
+    _check_order("prod:" + ",".join(f"Z:{f}" for f in ns), ns, cap)
     n = math.prod(ns)
     idx = np.arange(n)
     digits = []
@@ -196,14 +207,14 @@ def product_of_cyclics(factors) -> FiniteGroup:
     return FiniteGroup(table, names=names, source=("product", ns))
 
 
-def boolean_cube_group(k: int) -> FiniteGroup:
+def boolean_cube_group(k: int, cap: int = _ORDER_CAP) -> FiniteGroup:
     if k < 1:
         raise InputError("need k >= 1")
-    _check_order(f"Z2^{k}", repeat(2, k))
-    return product_of_cyclics((2,) * k)
+    _check_order(f"Z2^{k}", repeat(2, k), cap)
+    return product_of_cyclics((2,) * k, cap)
 
 
-def dihedral_group(n: int) -> FiniteGroup:
+def dihedral_group(n: int, cap: int = _ORDER_CAP) -> FiniteGroup:
     """Order 2n, elements f*n + r for rotation r and flip f.
 
     Product rule (r1,f1)*(r2,f2) = (r1 + (-1)^f1 * r2 mod n, f1 xor f2), so
@@ -212,7 +223,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise InputError("need n >= 1")
-    _check_order(f"D:{n}", (2, n))
+    _check_order(f"D:{n}", (2, n), cap)
     f, r = np.divmod(np.arange(2 * n), n)
     f1, r1 = f[:, None], r[:, None]
     table = (f1 ^ f) * n + (r1 + (1 - 2 * f1) * r) % n
@@ -241,11 +252,11 @@ def _lex_rank(p) -> int:
     return rank
 
 
-def symmetric_group(n: int) -> FiniteGroup:
+def symmetric_group(n: int, cap: int = _ORDER_CAP) -> FiniteGroup:
     """All permutations of n symbols in lexicographic order, composing right first."""
     if n < 1:
         raise InputError("need n >= 1")
-    _check_order(f"S:{n}", range(1, n + 1))
+    _check_order(f"S:{n}", range(1, n + 1), cap)
     perms = np.array(list(permutations(range(n))), dtype=np.int8)
     names = [_cycle_name(tuple(int(v) for v in p)) for p in perms]
     return FiniteGroup(_composition_ranks(perms), names=names, source=("symmetric", (n,)))
@@ -277,18 +288,22 @@ def explicit_group(table, names=None) -> FiniteGroup:
     return FiniteGroup(table, names=names, source=("explicit", ()), check_associativity=True)
 
 
-def build_group(spec: str) -> FiniteGroup:
-    """Group mini-language: Z:n, Z2^k, D:n, S:n, prod:Z:a,Z:b,..., table:<path>."""
+def build_group(spec: str, cap: int = _ORDER_CAP) -> FiniteGroup:
+    """Group mini-language: Z:n, Z2^k, D:n, S:n, prod:Z:a,Z:b,..., table:<path>.
+
+    A family group of order above `cap` is refused (CapacityError) before
+    its table is built; an explicit table keeps its own _TABLE_CAP rows.
+    """
     spec = spec.strip()
     try:
         if spec.startswith("Z2^"):
-            return boolean_cube_group(int(spec[3:]))
+            return boolean_cube_group(int(spec[3:]), cap)
         if spec.startswith("Z:"):
-            return cyclic_group(int(spec[2:]))
+            return cyclic_group(int(spec[2:]), cap)
         if spec.startswith("D:"):
-            return dihedral_group(int(spec[2:]))
+            return dihedral_group(int(spec[2:]), cap)
         if spec.startswith("S:"):
-            return symmetric_group(int(spec[2:]))
+            return symmetric_group(int(spec[2:]), cap)
         if spec.startswith("prod:"):
             factors = []
             for part in spec[5:].split(","):
@@ -296,7 +311,7 @@ def build_group(spec: str) -> FiniteGroup:
                 if not part.startswith("Z:"):
                     raise InputError(f"product factors must look like Z:n, got {part!r}")
                 factors.append(int(part[2:]))
-            return product_of_cyclics(factors)
+            return product_of_cyclics(factors, cap)
         if spec.startswith("table:"):
             path = spec[6:]
             try:
@@ -309,9 +324,15 @@ def build_group(spec: str) -> FiniteGroup:
             if not isinstance(obj, dict) or "table" not in obj:
                 raise ParseError(f"group table {path} must be JSON with a 'table' field")
             table = obj["table"]
-            if "order" in obj and len(table) != int(obj["order"]):
-                raise ParseError(f"group table {path}: declared order {obj['order']} != {len(table)}")
-            return explicit_group(table, names=obj.get("names"))
+            if not isinstance(table, list):
+                raise ParseError(f"group table {path}: 'table' must be a list of rows")
+            order = obj.get("order", len(table))
+            if isinstance(order, bool) or order != len(table):
+                raise ParseError(f"group table {path}: declared order {order!r} != {len(table)}")
+            names = obj.get("names")
+            if names is not None and not isinstance(names, list):
+                raise ParseError(f"group table {path}: 'names' must be a list")
+            return explicit_group(table, names=names)
     except ValueError as exc:
         raise InputError(f"bad group spec {spec!r}: {exc}") from exc
     raise InputError(

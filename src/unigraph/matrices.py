@@ -133,7 +133,7 @@ HYPERCUBE_LOOPED_SEED = np.array(
     ],
     dtype=np.int64,
 )
-_HYPERCUBE_CAP = 4096
+_HYPERCUBE_MAX_K = 12  # 4096 rows
 
 
 def hypercube_weighing(k: int, loops: bool = False) -> np.ndarray:
@@ -145,8 +145,8 @@ def hypercube_weighing(k: int, loops: bool = False) -> np.ndarray:
     """
     if k < 2:
         raise InputError("need k >= 2")
-    if 2**k > _HYPERCUBE_CAP:
-        raise CapacityError(f"hypercube weighing capped at {_HYPERCUBE_CAP} rows, got 2^{k}")
+    if k > _HYPERCUBE_MAX_K:  # k itself, since 2**k of a huge k never finishes
+        raise CapacityError(f"hypercube weighing capped at k = {_HYPERCUBE_MAX_K} (4096 rows), got k = {k}")
     w = (HYPERCUBE_LOOPED_SEED if loops else HYPERCUBE_SEED).copy()
     for _ in range(k - 2):
         eye = np.eye(w.shape[0], dtype=np.int64)

@@ -23,8 +23,6 @@ from .digraphs import (
     add_loops,
     hamiltonian_cycle,
     hypercube_graph,
-    induced_subgraph_search,
-    k33_minus_edge,
     quadrangularity_violations,
     structure_report,
     term_rank,
@@ -32,6 +30,7 @@ from .digraphs import (
 from .errors import CapacityError, InputError, InternalError
 from .linedigraphs import _row_column_blocks
 from .matrices import (
+    _HYPERCUBE_MAX_K,
     dft,
     hypercube_weighing,
     nearest_unitary,
@@ -94,17 +93,6 @@ class CertifyOutcome:
 
 # === necessary-condition battery ===
 
-_K2 = np.array([[0, 1], [1, 0]], dtype=np.int8)
-_K2_LOOPED = np.ones((2, 2), dtype=np.int8)
-
-
-def _is_k2_component(D: Digraph, members) -> bool:
-    if len(members) != 2:
-        return False
-    sub = D.adj[np.ix_(members, members)]
-    return np.array_equal(sub, _K2) or np.array_equal(sub, _K2_LOOPED)
-
-
 def necessary_battery(D: Digraph) -> ConditionReport:
     """Every necessary condition for supporting a unitary, evaluated in order.
 
@@ -139,7 +127,9 @@ def necessary_battery(D: Digraph) -> ConditionReport:
         )
     )
 
-    bad_bridges = [e for e in sr.bridges if not _is_k2_component(D, comp_of[e[0]])]
+    # a bridge lies in a K2 component iff its component is the bridge's two
+    # vertices and both or neither carry a loop
+    bad_bridges = [(i, j) for i, j in sr.bridges if len(comp_of[i]) != 2 or D.adj[i, i] != D.adj[j, j]]
     conds.append(
         Condition(
             "bridges-in-k2-components",
@@ -153,7 +143,7 @@ def necessary_battery(D: Digraph) -> ConditionReport:
         )
     )
 
-    bad_cuts = [v for v in sr.cut_vertices if not _is_k2_component(D, comp_of[v])]
+    bad_cuts = list(sr.cut_vertices)  # a 2-vertex component has none
     conds.append(
         Condition(
             "cut-vertices-in-k2-components",
@@ -248,34 +238,16 @@ _V3 = np.array(
 )
 
 
-def _k33_minus_edge_matrix() -> np.ndarray:
-    u = np.zeros((6, 6))
-    u[:3, 3:] = _V3
-    u[3:, :3] = _V3.T
-    return u
-
-
-def _registry_certificate(D: Digraph) -> tuple[str, np.ndarray] | None:
-    """Hand-registered patterns with known realizations."""
+def _registry_certificate(D: Digraph) -> np.ndarray | None:
+    """The labelled hypercube, plain or looped, with its scaled weighing matrix."""
     n = D.n
-    if n >= 4 and (n & (n - 1)) == 0:
-        k = n.bit_length() - 1
-        if 2 <= k <= 12:
-            cube = hypercube_graph(k)
-            if D == cube:
-                m = hypercube_weighing(k) / math.sqrt(k)
-                return "weighing", m.astype(np.complex128)
-            if D == add_loops(cube):
-                m = hypercube_weighing(k, loops=True) / math.sqrt(k + 1)
-                return "weighing", m.astype(np.complex128)
-    if n == 6 and not D.has_loops() and D.is_symmetric():
-        fixture = k33_minus_edge()
-        if sorted(D.adj.sum(axis=1)) == sorted(fixture.adj.sum(axis=1)):
-            f = induced_subgraph_search(D, fixture)
-            if f is not None:
-                u = np.zeros((6, 6))
-                u[np.ix_(f, f)] = _k33_minus_edge_matrix()
-                return "explicit", u.astype(np.complex128)
+    k = n.bit_length() - 1
+    if n != 1 << k or not 2 <= k <= _HYPERCUBE_MAX_K:
+        return None
+    cube = hypercube_graph(k)
+    for loops in (False, True):
+        if D == (add_loops(cube) if loops else cube):
+            return (hypercube_weighing(k, loops=loops) / math.sqrt(k + loops)).astype(np.complex128)
     return None
 
 
@@ -300,34 +272,46 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     A unitary with support D is block-diagonal, up to row and column
     permutations, along the components of D's row-column graph, so D is a
     member iff every block is.  Order: necessary battery (excluded on any
-    failure); DFT(d) in every block when all blocks are full; the registry
-    of known constructions on the whole pattern; then block by block, DFT(d)
-    for a full block and alternating projection for any other.  Every
-    certificate is verified before release.
+    failure); an exact rule per block, DFT(d) for a full block and a
+    permuted _V3 for a 3x3 block with one zero (between them every block of
+    at most three rows that passes the battery); if some block has no rule,
+    the registry on the whole pattern, else alternating projection for
+    each such block.  Every certificate is verified before release.
     """
     cfg = cfg or SolverConfig()
     battery = necessary_battery(D)
     if battery.verdict == "excluded":
         first = battery.first_failure
         return CertifyOutcome("excluded", battery, None, first.name)
-    blocks = _row_column_blocks(D.adj)
-    subs = [D.adj[np.ix_(rows, cols)] for rows, cols in blocks]
-    for sub in subs:
+    u = np.zeros((D.n, D.n), dtype=np.complex128)
+    kind = "line-digraph-dft"
+    unruled = []
+    for rows, cols in _row_column_blocks(D.adj):
+        sub = D.adj[np.ix_(rows, cols)]
         # term rank n pairs every row with a column of its own block
         if sub.shape[0] != sub.shape[1]:
             raise InternalError(f"battery passed a pattern with a {sub.shape[0]}x{sub.shape[1]} block")
-    all_full = all(sub.all() for sub in subs)
-    built = None if all_full else _registry_certificate(D)
-    if built is None:
-        u = np.zeros((D.n, D.n), dtype=np.complex128)
-        for (rows, cols), sub in zip(blocks, subs):
-            m = dft(len(rows)) if sub.all() else alternating_projection(Digraph(sub), cfg)
-            if m is None:
-                return CertifyOutcome("undecided", battery, None, "no realization found within budget")
-            u[np.ix_(rows, cols)] = m
-        built = ("line-digraph-dft" if all_full else "numerical", u)
-    kind, matrix = built
-    return CertifyOutcome("certified", battery, _verify_certificate(D, kind, matrix, cfg), None)
+        if sub.all():
+            u[np.ix_(rows, cols)] = dft(len(rows))
+        elif sub.shape == (3, 3) and np.count_nonzero(sub) == 8:
+            (i,), (j,) = np.nonzero(sub == 0)
+            r = np.arange(3)  # row i takes _V3's row 0 and column j its column 2, where its zero is
+            u[np.ix_(rows, cols)] = _V3[np.ix_((r - i) % 3, (r - j + 2) % 3)]
+            kind = "explicit"
+        else:
+            unruled.append((rows, cols, sub))
+    if unruled:
+        cube = _registry_certificate(D)
+        if cube is not None:
+            kind, u = "weighing", cube
+        else:
+            for rows, cols, sub in unruled:
+                m = alternating_projection(Digraph(sub), cfg)
+                if m is None:
+                    return CertifyOutcome("undecided", battery, None, "no realization found within budget")
+                u[np.ix_(rows, cols)] = m
+            kind = "numerical"
+    return CertifyOutcome("certified", battery, _verify_certificate(D, kind, u, cfg), None)
 
 
 # === numerical realization ===
@@ -467,6 +451,8 @@ def sperner_capacity(D: Digraph, mode: str = "uniform", seed: int = 0) -> Sperne
         return SpernerResult("uniform", min_entropy(uniform), tuple(uniform))
     if mode != "optimize":
         raise InputError(f"mode must be 'uniform' or 'optimize', got {mode!r}")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     if n > _OPTIMIZE_CAP:
         raise CapacityError(f"optimize mode capped at {_OPTIMIZE_CAP} vertices, got {n}")
 

@@ -148,6 +148,27 @@ def test_usage_and_io_errors(tmp_path, capsys):
     code, out, err = run(capsys, ["cayley", "--group", "Q:8", "--gens", "1"])
     assert code == 3 and err
 
+    # a negative Sperner seed, and group tables whose fields or entries have
+    # the wrong type: entries are never truncated, parsed or overflowed
+    k2 = write_digraph(tmp_path, "k2.txt", ug.cycle_graph(2))
+    argvs = [["sperner", "--in", k2, "--optimize", "--seed", "-3"]]
+    for k, obj in enumerate((
+        {"table": [[0, 1], [1, 0.9]]},
+        {"table": [[0, 1], [1, "0"]]},
+        {"table": [[0, 1], [1, True]]},
+        {"table": [[1099511627776]]},
+        {"table": None},
+        {"table": [[0, 1], [1, 0]], "order": None},
+        {"table": [[0, 1], [1, 0]], "names": 5},
+    )):
+        path = tmp_path / f"table{k}.json"
+        path.write_text(json.dumps(obj))
+        argvs.append(["cayley", "--group", f"table:{path}", "--gens", "1"])
+    for argv in argvs:
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "unexpected" not in err
+
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     # a failed self-check or a crash must not exit 1, which reads as "excluded"
@@ -164,11 +185,16 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
 
 
-def test_capacity_exit_code(tmp_path, capsys):
+def test_capacity_exit_code(tmp_path, capsys, monkeypatch):
     big = write_digraph(tmp_path, "c11.txt", ug.cycle_graph(11))
     code, out, err = run(capsys, ["sperner", "--in", big, "--optimize"])
     assert code == 4 and err
     # every group family's order is checked against the cap before any table is built
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr("unigraph.groups.FiniteGroup", no_table)
     for verb, spec in (
         ("cayley", "Z2^40"),
         ("cayley", "Z:1000000"),
@@ -177,6 +203,8 @@ def test_capacity_exit_code(tmp_path, capsys):
         ("cayley", "prod:Z:72,Z:71"),
         ("cayley", "S:8"),
         ("cayley", "Z:1025"),
+        ("cayley", "S:7"),
+        ("theorem1", "Z:1025"),
     ):
         code, out, err = run(capsys, [verb, "--group", spec, "--gens", "1"])
         assert code == 4 and out == ""
@@ -186,6 +214,14 @@ def test_capacity_exit_code(tmp_path, capsys):
     table.write_text(json.dumps({"table": [[]] * 1025}))
     code, out, err = run(capsys, ["cayley", "--group", f"table:{table}", "--gens", "1"])
     assert code == 4 and out == "" and err.startswith("error:")
+    # the cube dimension is compared with its cap before 2**k is formed; a
+    # timeout turns a regression into a failure rather than a hang
+    env = dict(os.environ, PYTHONPATH=str(Path(ug.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unigraph.cli", "hypercube", "99999999999999999999"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 4 and proc.stdout == "" and proc.stderr.startswith("error:")
 
 
 def test_closed_stdout_keeps_exit_code():

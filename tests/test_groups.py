@@ -122,6 +122,15 @@ def test_build_group_specs(tmp_path):
         build_group(f"table:{bad}")
     with pytest.raises(ParseError):
         build_group("table:/nonexistent/file.json")
+    for table in ([[0, 1], [1, 0.9]], [[0, 1], [1, "0"]], [[0, 1], [1, True]], [[1099511627776]],
+                  None, np.array([[0.0]]), np.array([[True]])):
+        with pytest.raises(InputError):
+            explicit_group(table)
+    # integer entries in an object array, and names in any sized sequence, are library input
+    z2 = explicit_group(np.array([[0, 1], [1, 0]], dtype=object), names=np.array(["e", "a"]))
+    assert z2.order == 2 and z2.names == ("e", "a")
+    with pytest.raises(ug.CapacityError):
+        build_group("S:5", cap=100)
     with pytest.raises(InputError):
         build_group("Q:8")
     with pytest.raises(InputError):

@@ -20,7 +20,7 @@ from unigraph import (
 )
 from unigraph import Multidigraph, membership
 from unigraph.linedigraphs import _row_column_blocks, line_digraph, recognize_line_digraph
-from unigraph.matrices import dft, nearest_unitary, unitarity_residual
+from unigraph.matrices import dft, nearest_unitary, support, unitarity_residual
 
 BATTERY_ORDER = (
     "quadrangularity",
@@ -246,6 +246,56 @@ def test_certify_k33_minus_edge_relabeled():
     assert check_certificate(D, out.certificate.matrix, 1e-10, 1e-6)
 
 
+def test_one_zero_3x3_blocks_certified_explicit():
+    for i, j in product(range(3), repeat=2):
+        a = np.ones((3, 3), dtype=np.int8)
+        a[i, j] = 0
+        D = Digraph(a)
+        out = certify(D)
+        assert out.status == "certified" and out.certificate.kind == "explicit"
+        assert out.certificate.residual <= 1e-12
+        assert support(out.certificate.matrix, 1e-6) == D
+
+
+def test_blocks_of_at_most_three_rows_never_reach_the_solver(monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(membership, "alternating_projection", no_solver)
+    certified = 0
+    for n in (1, 2, 3):
+        for cells in product((0, 1), repeat=n * n):
+            D = Digraph(np.array(cells, dtype=np.int8).reshape(n, n))
+            out = certify(D)
+            certified += out.status == "certified"
+            assert out.status in ("certified", "excluded")
+    # n = 3: six permutations, J3, nine J3 minus one entry, nine 1x1 + J2 splits
+    assert certified == 1 + 3 + 25
+    # block-diagonal compositions of 1x1, J2, J3 and J3 minus one entry,
+    # with rows and columns permuted apart: supports of unitaries, all of them
+    one_zero = np.ones((3, 3), dtype=np.int8)
+    one_zero[0, 2] = 0
+    kinds = (np.ones((1, 1)), np.ones((2, 2)), np.ones((3, 3)), one_zero)
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        blocks = []
+        while sum(len(b) for b in blocks) < 10:
+            b = kinds[rng.integers(len(kinds))]
+            blocks.append(b[np.ix_(rng.permutation(len(b)), rng.permutation(len(b)))])
+        n = sum(len(b) for b in blocks)
+        a = np.zeros((n, n), dtype=np.int8)
+        at = 0
+        for b in blocks:
+            a[at:at + len(b), at:at + len(b)] = b
+            at += len(b)
+        D = Digraph(a[np.ix_(rng.permutation(n), rng.permutation(n))])
+        out = certify(D)
+        assert out.status == "certified"
+        all_full = all(b.all() for b in blocks)
+        assert out.certificate.kind == ("line-digraph-dft" if all_full else "explicit")
+        assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)
+
+
 def test_alternating_projection_determinism():
     D = ug.complete_graph(4)
     cfg = SolverConfig(restarts=4, max_iter=2000, seed=11)
@@ -401,6 +451,8 @@ def test_sperner_validation():
         sperner_capacity(ug.cycle_graph(4), mode="bogus")
     with pytest.raises(CapacityError):
         sperner_capacity(ug.cycle_graph(11), mode="optimize")
+    with pytest.raises(InputError):
+        sperner_capacity(ug.cycle_graph(4), mode="optimize", seed=-3)
     assert sperner_capacity(ug.cycle_graph(11)).value == 2.0 / 11.0
 
 
