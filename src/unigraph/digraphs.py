@@ -459,11 +459,8 @@ def perfect_two_matching(D: Digraph) -> TwoMatching | None:
     if D.has_loops():
         raise InputError("perfect_two_matching needs a loop-free graph")
     perm = cycle_factor(D)
-    return None if perm is None else _two_matching(perm)
-
-
-def _two_matching(perm) -> TwoMatching:
-    """The 2-cycles of a fixed-point-free permutation as edges, the rest as cycles."""
+    if perm is None:
+        return None
     cycles = permutation_cycles(perm)
     return TwoMatching(
         edges=tuple(c for c in cycles if len(c) == 2),

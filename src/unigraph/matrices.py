@@ -93,7 +93,7 @@ def dft(n: int) -> np.ndarray:
 
 
 def weighing_weight(w) -> int | None:
-    """Weight k with W·Wᵀ = k·I in exact integer arithmetic, or None.
+    """Weight k with W·Wᵀ = k·I, checked exactly, or None.
 
     Entries must lie in {-1, 0, 1}; anything else is an input error rather
     than a plain "no".
@@ -105,10 +105,12 @@ def weighing_weight(w) -> int | None:
         a = a.astype(np.int64)
     if not np.isin(a, (-1, 0, 1)).all():
         raise InputError("weighing matrix entries must be in {-1, 0, 1}")
-    a = a.astype(np.int64)
+    # float64 routes the product to BLAS; with entries in {-1, 0, 1} every
+    # partial sum is an integer below 2**53, so the product is exact
+    a = a.astype(np.float64)
     prod = a @ a.T
     k = int(prod[0, 0])
-    if k >= 1 and np.array_equal(prod, k * np.eye(a.shape[0], dtype=np.int64)):
+    if k >= 1 and np.count_nonzero(prod) == len(a) and (np.diagonal(prod) == k).all():
         return k
     return None
 

@@ -19,12 +19,10 @@ import numpy as np
 from .digraphs import (
     Digraph,
     _konig_set,
-    _two_matching,
     add_loops,
     hamiltonian_cycle,
     hypercube_graph,
     quadrangularity_violations,
-    structure_report,
     term_rank,
 )
 from .errors import CapacityError, InputError, InternalError
@@ -37,7 +35,7 @@ from .matrices import (
     support,
     unitarity_residual,
 )
-from .reporting import FAIL, NOT_APPLICABLE, PASS, Condition, ConditionReport
+from .reporting import FAIL, PASS, Condition, ConditionReport
 
 __all__ = [
     "SolverConfig",
@@ -94,137 +92,45 @@ class CertifyOutcome:
 # === necessary-condition battery ===
 
 def necessary_battery(D: Digraph) -> ConditionReport:
-    """Every necessary condition for supporting a unitary, evaluated in order.
+    """The two necessary conditions that decide, in order, with witnesses.
 
-    Failures carry witnesses; conditions whose premise does not hold (e.g. the
-    graph-only ones on an asymmetric digraph) report not-applicable.  All of
-    them rest on one DFS (which also 2-colours the graph), one maximum
-    matching and one matrix product: on a graph, Hall's condition, a perfect
-    2-matching and a perfect matching between the parts each hold iff the
-    term rank is n.
+    `quadrangularity` (one matrix product): no two rows, and no two
+    columns, share exactly one position.  `term-rank` (one Hopcroft-Karp
+    matching): some permutation p has every arc (i, p(i)); the witness
+    holds p on a pass and a König set S with |N+(S)| = |S| - 1 on a fail.
+
+    The paper's other general properties follow, so they are not checked.
+    In the underlying simple graph (loops dropped):
+    - A bridge {i, j} with i -> j splits its component into sides S_i and
+      S_j, and only i and j have arcs across.
+      - One-way: no row of S_j reaches S_i, so a row k != i with k -> j
+        meets row i only at j, and then a column c != j with i -> c meets
+        column j only at i.  So column j = {i} and row i = {j}, and the
+        |S_j| rows of S_j reach only the |S_j| - 1 columns S_j - {j}: the
+        term rank is below n.
+      - Two-way: the same argument, on rows and columns outside {i, j} and
+        from both ends, confines rows and columns i and j to {i, j}: a K2
+        component.  If only one of i, j has a loop, rows i and j meet there.
+    - A cut vertex v has neighbours in two sides C1, C2 of D - v.  Arcs into
+      v (out of v) from both sides give two rows (columns) that meet only at
+      v.  Otherwise the arcs run C1 -> v -> C2.  Without a loop at v the
+      rows C2 + {v} reach only the columns C2; with one, a row u of C1 with
+      u -> v meets row v only at v.
+    - 2-connectivity is "no cut vertex".  A cycle factor, a perfect
+      2-matching, Hall's condition and a perfect matching between the parts
+      of a bipartite graph each hold iff the term rank is n.
     """
-    sr = structure_report(D)
-    comp_of = {}
-    for comp in sr.weak_components:
-        for v in comp:
-            comp_of[v] = comp
-    conds: list[Condition] = []
-
     violations = quadrangularity_violations(D)
-    conds.append(
-        Condition(
-            "quadrangularity",
-            FAIL if violations else PASS,
-            witness={"violations": violations[:16]} if violations else None,
-        )
-    )
-
-    conds.append(
-        Condition(
-            "no-directed-bridges",
-            FAIL if sr.directed_bridges else PASS,
-            witness={"arcs": sr.directed_bridges} if sr.directed_bridges else None,
-        )
-    )
-
-    # a bridge lies in a K2 component iff its component is the bridge's two
-    # vertices and both or neither carry a loop
-    bad_bridges = [(i, j) for i, j in sr.bridges if len(comp_of[i]) != 2 or D.adj[i, i] != D.adj[j, j]]
-    conds.append(
-        Condition(
-            "bridges-in-k2-components",
-            FAIL if bad_bridges else PASS,
-            witness={
-                "edges": bad_bridges,
-                "components": list(dict.fromkeys(comp_of[e[0]] for e in bad_bridges)),
-            }
-            if bad_bridges
-            else None,
-        )
-    )
-
-    bad_cuts = list(sr.cut_vertices)  # a 2-vertex component has none
-    conds.append(
-        Condition(
-            "cut-vertices-in-k2-components",
-            FAIL if bad_cuts else PASS,
-            witness={"vertices": bad_cuts, "components": list(dict.fromkeys(comp_of[v] for v in bad_cuts))}
-            if bad_cuts
-            else None,
-        )
-    )
-
+    witness = {"violations": violations[:16]} if violations else None
+    quad = Condition("quadrangularity", FAIL if violations else PASS, witness)
     tr = term_rank(D)
     full = tr.value == D.n
-    conds.append(
-        Condition(
-            "term-rank",
-            PASS if full else FAIL,
-            witness={"term_rank": tr.value, "n": D.n},
-        )
-    )
-
-    conds.append(
-        Condition(
-            "cycle-factor",
-            PASS if full else FAIL,
-            witness={"permutation": tr.matching} if full else {"term_rank": tr.value},
-        )
-    )
-
-    symmetric = sr.is_symmetric
-    simple_graph = symmetric and not D.has_loops()
-    if simple_graph:
-        if full:
-            tm = _two_matching(tr.matching)
-            witness = {"edges": tm.edges, "cycles": tm.cycles}
-        else:
-            witness = {"unmatched": [v for v, c in enumerate(tr.matching) if c is None]}
-        conds.append(Condition("perfect-two-matching", PASS if full else FAIL, witness=witness))
+    rank = {"term_rank": tr.value, "n": D.n}
+    if full:
+        rank["permutation"] = tr.matching
     else:
-        conds.append(Condition("perfect-two-matching", NOT_APPLICABLE))
-
-    if symmetric:
-        if full:
-            witness = None
-        else:
-            hall_set, hall_nbrs = _konig_set(D, tr.matching)
-            witness = {"set": hall_set, "neighborhood": list(hall_nbrs)}
-        conds.append(Condition("hall-condition", PASS if full else FAIL, witness=witness))
-    else:
-        conds.append(Condition("hall-condition", NOT_APPLICABLE))
-
-    if symmetric and sr.weakly_connected and D.n >= 3:
-        # connected and n >= 3: no cut vertex <=> vertex and edge connectivity >= 2
-        conds.append(
-            Condition(
-                "two-connected",
-                FAIL if sr.cut_vertices else PASS,
-                witness={"cut_vertices": sr.cut_vertices},
-            )
-        )
-    else:
-        conds.append(Condition("two-connected", NOT_APPLICABLE))
-
-    parts = sr.parts if simple_graph else None
-    if parts is not None:
-        p0, p1 = parts
-        conds.append(
-            Condition(
-                "bipartite-perfect-matching",
-                PASS if full else FAIL,
-                witness=None
-                if full
-                else {
-                    "part_sizes": (len(p0), len(p1)),
-                    "unmatched": [v for v in p0 if tr.matching[v] is None],
-                },
-            )
-        )
-    else:
-        conds.append(Condition("bipartite-perfect-matching", NOT_APPLICABLE))
-
-    return ConditionReport(conditions=tuple(conds))
+        rank["set"], rank["neighborhood"] = _konig_set(D, tr.matching)
+    return ConditionReport((quad, Condition("term-rank", PASS if full else FAIL, rank)))
 
 
 # === constructive certificates ===

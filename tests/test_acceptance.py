@@ -142,11 +142,12 @@ def _edge_in_k2_component(D: Digraph, u: int, v: int) -> bool:
 
 def test_criterion_03_battery_corpus():
     rng = np.random.default_rng(20260401)
-    corpus = []
+    corpus = []  # (digraph, hook of a grafted two-way pendant or None)
     for i in range(200):
         n = int(rng.integers(2, 10))
         density = float(rng.uniform(0.15, 0.6))
         D = random_digraph(rng, n, density, symmetric=(i % 2 == 0), loops=(i % 11 == 0))
+        hook = None
         if i % 5 == 3:
             # graft a pendant vertex behind a single one-way arc
             adj = np.zeros((n + 1, n + 1), dtype=np.int8)
@@ -160,25 +161,25 @@ def test_criterion_03_battery_corpus():
             hook = int(rng.integers(0, n))
             adj[hook, n] = adj[n, hook] = 1
             D = Digraph(adj)
-        corpus.append(D)
+        corpus.append((D, hook))
 
     tallies = {"certified": 0, "excluded": 0, "undecided": 0}
-    bridged = 0
-    for D in corpus:
+    bridged = pendants = 0
+    for D, hook in corpus:
         out = certify(D, FAST)
         tallies[out.status] += 1
         if _has_directed_bridge(D):
             bridged += 1
             assert out.status == "excluded", "directed bridge must exclude"
-        if out.status == "excluded" and out.reason == "bridges-in-k2-components":
-            rep = {c.name: c for c in out.battery.conditions}
-            for u, v in rep["bridges-in-k2-components"].witness["edges"]:
-                assert not _edge_in_k2_component(D, u, v)
+        if hook is not None and not _edge_in_k2_component(D, hook, D.n - 1):
+            pendants += 1
+            assert out.status == "excluded", "a two-way pendant outside a K2 component must exclude"
         if out.status == "certified":
             assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
 
     assert bridged >= 40  # the grafted pendants alone guarantee this
     assert tallies["excluded"] >= bridged
+    assert pendants >= 35  # 5 of the 40 hooks were isolated, so their pendant edge is a K2 component
 
     k2 = ug.cycle_graph(2)
     for D in (k2, ug.add_loops(k2)):

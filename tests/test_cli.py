@@ -99,7 +99,7 @@ def test_analyze_exit_codes(tmp_path, capsys):
 
 def test_analyze_long_chains(tmp_path, capsys):
     # a 1500-vertex chain once took minutes, then crashed on recursion depth
-    for D, first in ((ug.path_graph(1500), "quadrangularity"), (ug.directed_path(1500), "no-directed-bridges")):
+    for D, first in ((ug.path_graph(1500), "quadrangularity"), (ug.directed_path(1500), "term-rank")):
         path = write_digraph(tmp_path, "chain.txt", D)
         started = time.perf_counter()
         code, report, _ = run_json(capsys, ["analyze", "--in", path])
@@ -107,10 +107,9 @@ def test_analyze_long_chains(tmp_path, capsys):
         assert code == 1
         conds = report["payload"]["battery"]["conditions"]
         assert next(c for c in conds if c["status"] == "fail")["name"] == first
-        # each offending component is listed once, not once per cut vertex
-        cuts = next(c for c in conds if c["name"] == "cut-vertices-in-k2-components")
-        assert len(cuts["witness"]["vertices"]) == 1498
-        assert cuts["witness"]["components"] == [list(range(1500))]
+    # the directed chain's last row is empty: a König set with no neighbours
+    rank = next(c for c in conds if c["name"] == "term-rank")
+    assert rank["witness"] == {"term_rank": 1499, "n": 1500, "set": [1499], "neighborhood": []}
 
 
 def test_usage_and_io_errors(tmp_path, capsys):

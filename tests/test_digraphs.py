@@ -202,10 +202,12 @@ def test_connectivity_against_networkx():
         kappa, lam = ug.connectivity_numbers(D)
         assert kappa == nx.node_connectivity(g)
         assert lam == nx.edge_connectivity(g)
-        # the battery reads both conditions off its DFS and its one matching
+        assert nx.is_biconnected(g) == (kappa >= 2 and lam >= 2)
+        # a cut vertex excludes, and a failed term rank is a Hall violation
         rep = ug.necessary_battery(D)
-        assert (rep["two-connected"].status == "pass") == nx.is_biconnected(g) == (kappa >= 2 and lam >= 2)
-        assert (rep["hall-condition"].status == "fail") == brute_hall_violation(D)
+        if not nx.is_biconnected(g):
+            assert rep.verdict == "excluded"
+        assert (rep["term-rank"].status == "fail") == brute_hall_violation(D)
         checked += 1
     assert ug.connectivity_numbers(ug.complete_graph(5)) == (4, 4)
     with pytest.raises(InputError):

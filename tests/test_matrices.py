@@ -78,6 +78,7 @@ def test_weighing_weight():
     assert weighing_weight(np.eye(3, dtype=int)) == 1
     assert weighing_weight(np.ones((2, 2), dtype=int)) is None
     assert weighing_weight(np.zeros((2, 2), dtype=int)) is None
+    assert weighing_weight(np.array([[1, 1, 0], [1, -1, 0], [0, 0, 1]])) is None  # orthogonal, unequal weights
     with pytest.raises(InputError):
         weighing_weight(np.array([[2, 0], [0, 2]]))
 
