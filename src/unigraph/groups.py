@@ -31,7 +31,6 @@ __all__ = [
     "cayley_digraph",
     "regular_representation",
     "first_noninvolution_pair",
-    "NECESSARY_CONDITIONS",
     "coset_generating_set",
     "line_digraph_witness",
     "unistochastic_group_conditions",
@@ -42,17 +41,6 @@ _ORDER_CAP = 5040  # |S_7|; every family's order is checked before its table is 
 # explicit tables (cubic associativity check, ~4 s at 1024), and the cayley and
 # theorem1 reports, which inline an order x order matrix
 _TABLE_CAP = 1024
-
-# conditions whose fail rules out X(G; S) when |S| = 2
-NECESSARY_CONDITIONS = frozenset({
-    "involution-pairs",
-    "even-order",
-    "abelian-double-equal",
-    "cyclic-pair-offset",
-    "product-odd-component-equal",
-    "product-all-odd-singleton",
-    "pairwise-complementary",
-})
 
 
 def _check_order(family: str, factors, cap: int) -> None:
@@ -402,8 +390,9 @@ def line_digraph_witness(G: FiniteGroup, S) -> tuple[int, tuple[int, ...]] | Non
 def first_noninvolution_pair(G: FiniteGroup, S) -> tuple[int, int] | None:
     """First pair (s, t) of S, in `combinations` order, with s*t^-1 != t*s^-1.
 
-    s*t^-1 = t*s^-1 says that (s*t^-1)^2 = e.  The one test decides three
-    conditions.  It is `complementary(P_s, P_t)` for the permutations
+    s*t^-1 = t*s^-1 says that (s*t^-1)^2 = e; for two generators it decides
+    the Cayley pattern (`unistochastic_group_conditions` has the proof).
+    It is `complementary(P_s, P_t)` for the permutations
     g -> s*g and g -> t*g: with h = s^-1*t*i, "q(i) = p(h) implies
     q(h) = p(i)" reads t*s^-1*t = s.  On an abelian group it is s^2 = t^2.
     """
@@ -414,19 +403,12 @@ def first_noninvolution_pair(G: FiniteGroup, S) -> tuple[int, int] | None:
     return None
 
 
-def _cyclic_conditions(G: FiniteGroup, gens: list[int]) -> list[Condition]:
+def _cyclic_conditions(G: FiniteGroup, gens: list[int], paired: bool) -> list[Condition]:
+    """The four instance records on Z_n; `paired` says S = {s, s + n/2}."""
     n = G.order
-    conds = []
-    na = lambda name, note=None: Condition(  # noqa: E731
-        name, NOT_APPLICABLE, witness={"note": note} if note else None
-    )
-
-    pair_ok = len(gens) == 2 and n % 2 == 0 and (max(gens) - min(gens)) == n // 2
-    witness = {"difference": max(gens) - min(gens), "expected": n // 2 if n % 2 == 0 else None}
-    conds.append(Condition("cyclic-pair-offset", PASS if pair_ok else FAIL, witness=witness))
-
-    if not pair_ok:
-        conds.extend(
+    na = lambda name, note: Condition(name, NOT_APPLICABLE, witness={"note": note})  # noqa: E731
+    if not paired:
+        return [
             na(name, "needs the pair structure {s, s + n/2}")
             for name in (
                 "cyclic-generation",
@@ -434,9 +416,9 @@ def _cyclic_conditions(G: FiniteGroup, gens: list[int]) -> list[Condition]:
                 "cyclic-hamiltonian",
                 "cyclic-graph-nonhamiltonian",
             )
-        )
-        return conds
+        ]
 
+    conds = []
     s, t = min(gens), max(gens)
     generated = G.subgroup_closure(gens)
     generating = len(generated) == n
@@ -466,114 +448,77 @@ def _cyclic_conditions(G: FiniteGroup, gens: list[int]) -> list[Condition]:
     if not generating:
         conds.append(na("cyclic-hamiltonian", "generators do not span the group"))
     else:
-        unit = next((g for g in (s, t) if math.gcd(g, n) == 1), None)
-        if unit is None:
-            conds.append(Condition("cyclic-hamiltonian", FAIL, witness={"note": "no unit generator"}))
-        else:
-            cycle = tuple((j * unit) % n for j in range(n))
-            conds.append(Condition("cyclic-hamiltonian", PASS, witness={"cycle": cycle}))
+        # <s, s + n/2> = <gcd(s, n/2)> is Z_n, so gcd(s, n/2) = 1: either s is a
+        # unit, or s is even with n/2 odd, and then s + n/2 is a unit
+        unit = s if math.gcd(s, n) == 1 else t
+        cycle = tuple((j * unit) % n for j in range(n))
+        conds.append(Condition("cyclic-hamiltonian", PASS, witness={"cycle": cycle}))
 
     if not (is_graph and generating):
         conds.append(na("cyclic-graph-nonhamiltonian", "needs the generating graph case"))
     else:
-        try:
-            cycle = hamiltonian_cycle(cayley_digraph(G, gens))
-        except CapacityError:
-            conds.append(na("cyclic-graph-nonhamiltonian", "beyond hamiltonicity search cap"))
-        else:
-            conds.append(
-                Condition(
-                    "cyclic-graph-nonhamiltonian",
-                    PASS if cycle is None else FAIL,
-                    witness=None if cycle is None else {"hamiltonian_cycle": tuple(cycle)},
-                )
-            )
-    return conds
-
-
-def _product_conditions(G: FiniteGroup, gens: list[int]) -> list[Condition]:
-    factors = G.source[1]
-    conds = []
-    odd_factors = [i for i, f in enumerate(factors) if f % 2 == 1]
-    if not odd_factors:
-        conds.append(Condition("product-odd-component-equal", NOT_APPLICABLE))
-    else:
-        def digit(x, i):
-            for f in factors[:i]:
-                x //= f
-            return x % factors[i]
-
-        bad = None
-        for i in odd_factors:
-            values = {digit(g, i) for g in gens}
-            if len(values) > 1:
-                bad = {"factor_index": i, "modulus": factors[i], "components": sorted(values)}
-                break
-        conds.append(Condition("product-odd-component-equal", FAIL if bad else PASS, witness=bad))
-
-    if all(f % 2 == 1 for f in factors):
+        # S = -S either fixes both elements (S = {0, n/2}, which spans Z_n only
+        # for n = 2) or swaps them (s = n/4, which spans Z_n only for n = 4),
+        # so the search runs on 2 or 4 vertices, far below its cap
+        cycle = hamiltonian_cycle(cayley_digraph(G, gens))
         conds.append(
             Condition(
-                "product-all-odd-singleton",
-                PASS if len(gens) == 1 else FAIL,
-                witness={"size": len(gens)},
+                "cyclic-graph-nonhamiltonian",
+                PASS if cycle is None else FAIL,
+                witness=None if cycle is None else {"hamiltonian_cycle": tuple(cycle)},
             )
         )
-    else:
-        conds.append(Condition("product-all-odd-singleton", NOT_APPLICABLE))
     return conds
 
 
 def unistochastic_group_conditions(G: FiniteGroup, S) -> tuple[Condition, ...]:
-    """Evaluate the conditions a Cayley pattern must meet to come from a
-    unistochastic matrix, plus the instance checks of the cyclic/product suites.
+    """`involution-pairs`, which decides a pattern with two generators, then
+    on Z_n the cyclic suite's four instance records.
 
-    The necessary conditions (`NECESSARY_CONDITIONS`) are derived for two
-    generators, and for |S| = 2 a fail on any of them rules the pattern out.
-    A single generator gives a permutation pattern, which is always realizable:
-    nothing fails on it, and even-order and cyclic-pair-offset are
-    not-applicable.  For |S| >= 3 every necessary condition is not-applicable
-    (X(Z_3; Z_3) = J_3 is realized by DFT(3), yet five of them would fail).
-    The remaining cyclic items report whether the expected structural facts
-    (generation, graph form, hamiltonicity) hold for this instance.
+    X = X(G; {s, t}) is the digraph of a unitary iff s*t^-1 = t*s^-1, the
+    test `first_noninvolution_pair` runs:
+    - Necessary.  Row g of X holds columns s*g and t*g.  Another row h meets
+      it only as h = t^-1*s*g (at s*g = t*h), or with s and t swapped, and
+      then shares its other column iff t*s^-1 = s*t^-1.  The columns give
+      the same equation, so the test holds iff X is quadrangular.
+    - Sufficient.  The test reads (s^-1*t)^2 = e, so s^-1*S = {e, s^-1*t} is
+      a subgroup, x = s^-1 is a `line_digraph_witness`, and X is the line
+      digraph of a 2-regular multidigraph: each row-column block is a full
+      2x2, and `certify` answers `line-digraph-dft`.
+    The conditions once reported beside it only read this test on a family:
+    when it holds, s*t^-1 is an involution, so |G| is even; on an abelian
+    group it reads s^2 = t^2, on Z_n |s - t| = n/2; it is complementarity
+    of P_s and P_t (t*s^-1*t = s); in each odd factor of a product 2 is
+    invertible, so the components there agree, and with every factor odd
+    the test fails.
+
+    A single generator gives a permutation pattern, and the test passes.
+    For |S| >= 3 it is not-applicable: X(Z_3; Z_3) = J_3 is realized by
+    DFT(3).  The cyclic records (generation, graph form, hamiltonicity)
+    apply only to a pair that passes the test, {s, s + n/2} on Z_n.
     """
     gens = G._check_elements(S)
     if len(set(gens)) != len(gens):
         raise InputError("generator list contains duplicates")
-    bad = first_noninvolution_pair(G, gens) if len(gens) == 2 else None
-
-    def pair_condition(name: str) -> Condition:
-        return Condition(name, FAIL, {"pair": bad}) if bad else Condition(name, PASS)
-
-    conds = [
-        pair_condition("involution-pairs"),
-        Condition("even-order", PASS if G.order % 2 == 0 else FAIL, {"order": G.order}),
-    ]
-    if not G.is_abelian():
-        conds.append(Condition("abelian-double-equal", NOT_APPLICABLE))
-    elif bad:
-        squares = (G.mult(bad[0], bad[0]), G.mult(bad[1], bad[1]))
-        conds.append(Condition("abelian-double-equal", FAIL, {"pair": bad, "squares": squares}))
+    if len(gens) > 2:
+        test = Condition("involution-pairs", NOT_APPLICABLE, {"note": "derived for two generators only"})
     else:
-        conds.append(Condition("abelian-double-equal", PASS))
-    if G.source[0] == "cyclic":
-        conds.extend(_cyclic_conditions(G, gens))
-    if G.source[0] == "product":
-        conds.extend(_product_conditions(G, gens))
-    conds.append(pair_condition("pairwise-complementary"))
-    # the suites above are written for |S| = 2
-    if len(gens) == 1:
-        note, names = "a single generator always has a realizable pattern", {"even-order", "cyclic-pair-offset"}
-    elif len(gens) > 2:
-        note, names = "derived for two generators only", NECESSARY_CONDITIONS
-    else:
-        return tuple(conds)
-    return tuple(Condition(c.name, NOT_APPLICABLE, {"note": note}) if c.name in names else c for c in conds)
+        bad = first_noninvolution_pair(G, gens)
+        test = Condition("involution-pairs", FAIL, {"pair": bad}) if bad else Condition("involution-pairs", PASS)
+    if G.source[0] != "cyclic":
+        return (test,)
+    return (test, *_cyclic_conditions(G, gens, len(gens) == 2 and test.status == PASS))
 
 
 def parse_element_list(G: FiniteGroup, text: str) -> list[int]:
     """Parse a --gens style list: integer indices, or cycles like "(1 2)(3 4)"
     for symmetric groups (1-based symbols, rightmost cycle applied first)."""
+    kind, params = G.source
+    return _parse_elements(text, G.order, params[0] if kind == "symmetric" else None)
+
+
+def _parse_elements(text: str, order: int, degree: int | None = None) -> list[int]:
+    """`parse_element_list` without a table; cycle tokens need the degree of S:n."""
     tokens = []
     depth = 0
     cur = ""
@@ -599,18 +544,17 @@ def parse_element_list(G: FiniteGroup, text: str) -> list[int]:
         if not tok:
             raise InputError(f"empty element in list {text!r}")
         if tok.startswith("("):
-            if G.source[0] != "symmetric":
+            if degree is None:
                 raise InputError("cycle notation only applies to S:n groups")
-            n = G.source[1][0]
-            out.append(_cycle_token_to_index(tok, n))
+            out.append(_cycle_token_to_index(tok, degree))
         else:
             try:
                 idx = int(tok)
             except ValueError as exc:
                 raise InputError(f"bad element {tok!r}") from exc
-            if not 0 <= idx < G.order:
+            if not 0 <= idx < order:
                 raise InputError(
-                    f"element index {idx} out of range for a group of order {G.order}"
+                    f"element index {idx} out of range for a group of order {order}"
                 )
             out.append(idx)
     return out
@@ -626,7 +570,10 @@ def _cycle_token_to_index(token: str, n: int) -> int:
         symbols = body[1:end].replace(",", " ").split()
         cyc = []
         for sym in symbols:
-            v = int(sym) - 1
+            try:
+                v = int(sym) - 1
+            except ValueError as exc:
+                raise InputError(f"bad symbol {sym!r} in cycle {token!r}") from exc
             if not 0 <= v < n:
                 raise InputError(f"symbol {sym} out of range 1..{n} in {token!r}")
             if v in cyc:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,12 @@ def test_usage_and_io_errors(tmp_path, capsys):
         path = tmp_path / f"table{k}.json"
         path.write_text(json.dumps(obj))
         argvs.append(["cayley", "--group", f"table:{path}", "--gens", "1"])
+    # cycle tokens whose symbols are not integers
+    argvs += [
+        ["cayley", "--group", "S:3", "--gens", "(a b)"],
+        ["cayley", "--group", "S:3", "--gens", "((1 2))"],
+        ["theorem1", "--group", "S:3", "--gens", "(1 x),(1 2 3)"],
+    ]
     for argv in argvs:
         code, out, err = run(capsys, argv)
         assert code == 3 and out == "", argv
@@ -293,6 +300,30 @@ def test_theorem1_and_spectrum(capsys):
     assert code == 0
     eigs = [complex(re, im) for re, im in report["payload"]["eigenvalues"]]
     assert sum(abs(z) < 1e-9 for z in eigs) == 4
+
+
+def test_spectrum_reads_the_order_from_the_spec(capsys):
+    # a 5040 x 5040 group table alone would take 100 MB or more
+    tracemalloc.start()
+    try:
+        code, report, _ = run_json(capsys, ["spectrum", "--group", "Z:5040", "--gens", "1,7"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["payload"]["n"] == 5040
+    assert len(report["payload"]["eigenvalues"]) == 5040
+    assert peak < 32 * 2**20
+    for spec, gens, want in (
+        ("S:8", "1", 4),
+        ("Z:0", "1", 3),
+        ("Z:abc", "1", 3),
+        ("Z:5041", "1", 4),
+        ("Z:8", "(1 2)", 3),
+        ("Z:8", "8", 3),
+    ):
+        code, out, err = run(capsys, ["spectrum", "--group", spec, "--gens", gens])
+        assert code == want and out == "", spec
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "unexpected" not in err
 
 
 def test_survey_command(capsys):

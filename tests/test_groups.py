@@ -7,8 +7,8 @@ from conftest import find_isomorphism, pnk_digraph
 
 import unigraph as ug
 from unigraph import InputError, ParseError
+from unigraph.digraphs import quadrangularity_violations
 from unigraph.groups import (
-    NECESSARY_CONDITIONS,
     boolean_cube_group,
     build_group,
     cayley_digraph,
@@ -158,6 +158,9 @@ def test_parse_element_list():
         parse_element_list(s4, "(1 1)")
     with pytest.raises(InputError):
         parse_element_list(s4, "(1 5)")
+    for text in ("(a b)", "((1 2))", "(1 x),(1 2 3)"):
+        with pytest.raises(InputError, match="bad symbol"):
+            parse_element_list(s4, text)
 
 
 def test_cayley_digraph():
@@ -240,10 +243,11 @@ def test_cayley_line_digraph_isomorphisms():
 
 def test_conditions_z8():
     z8 = cyclic_group(8)
-    by = cond_map(unistochastic_group_conditions(z8, [1, 5]))
-    for name in ("involution-pairs", "even-order", "abelian-double-equal",
-                 "cyclic-pair-offset", "cyclic-generation", "cyclic-graph-iff",
-                 "cyclic-hamiltonian", "pairwise-complementary"):
+    conds = unistochastic_group_conditions(z8, [1, 5])
+    assert [c.name for c in conds] == ["involution-pairs", "cyclic-generation", "cyclic-graph-iff",
+                                       "cyclic-hamiltonian", "cyclic-graph-nonhamiltonian"]
+    by = cond_map(conds)
+    for name in ("involution-pairs", "cyclic-generation", "cyclic-graph-iff", "cyclic-hamiltonian"):
         assert by[name].status == "pass", name
     assert by["cyclic-graph-nonhamiltonian"].status == "not-applicable"
 
@@ -251,13 +255,15 @@ def test_conditions_z8():
 def test_conditions_failures_and_witnesses():
     z8 = cyclic_group(8)
     by = cond_map(unistochastic_group_conditions(z8, [1, 4]))
-    assert by["cyclic-pair-offset"].status == "fail"
+    # |1 - 4| != 8/2: 2(s - t) != 0 in Z_8
+    assert by["involution-pairs"].status == "fail"
+    assert by["involution-pairs"].witness == {"pair": (1, 4)}
     assert by["cyclic-generation"].status == "not-applicable"
 
     # generation fails for s=3 despite the parity criterion predicting success
     z12 = cyclic_group(12)
     by = cond_map(unistochastic_group_conditions(z12, [3, 9]))
-    assert by["cyclic-pair-offset"].status == "pass"
+    assert by["involution-pairs"].status == "pass"
     gen = by["cyclic-generation"]
     assert gen.status == "fail"
     assert gen.witness["generated_order"] == 4
@@ -271,12 +277,14 @@ def test_conditions_failures_and_witnesses():
     assert by["cyclic-graph-nonhamiltonian"].status == "fail"
     assert "hamiltonian_cycle" in by["cyclic-graph-nonhamiltonian"].witness
 
-    # odd-order group with a singleton set: even-order is not applicable
+    # an odd-order group: a single generator passes, and no pair does, since
+    # a passing pair makes s*t^-1 an involution
     z5 = cyclic_group(5)
     by = cond_map(unistochastic_group_conditions(z5, [1]))
-    assert by["even-order"].status == "not-applicable"
-    by = cond_map(unistochastic_group_conditions(z5, [1, 2]))
-    assert by["even-order"].status == "fail"
+    assert by["involution-pairs"].status == "pass"
+    for S in combinations(range(5), 2):
+        by = cond_map(unistochastic_group_conditions(z5, S))
+        assert by["involution-pairs"].status == "fail"
 
     # involution-pair failure carries the offending pair
     s3 = symmetric_group(3)
@@ -291,24 +299,28 @@ def test_conditions_product_groups():
     # S = {(1,1), (2,2)}: components over the odd factor must be equal
     s_a = 1 * 1 + 3 * 1  # (a=1, b=1) with first factor least significant
     s_b = 2 + 3 * 2
-    by = cond_map(unistochastic_group_conditions(g, [s_a, s_b]))
-    assert by["product-odd-component-equal"].status == "fail"
+    conds = unistochastic_group_conditions(g, [s_a, s_b])
+    assert [c.name for c in conds] == ["involution-pairs"]
+    assert conds[0].status == "fail"
     by = cond_map(unistochastic_group_conditions(g, [1 + 3 * 1, 1 + 3 * 3]))
-    assert by["product-odd-component-equal"].status == "pass"
+    assert by["involution-pairs"].status == "pass"
 
+    # every factor odd: only a single generator passes
     allodd = product_of_cyclics([3, 5])
     by = cond_map(unistochastic_group_conditions(allodd, [2, 7]))
-    assert by["product-all-odd-singleton"].status == "fail"
+    assert by["involution-pairs"].status == "fail"
     by = cond_map(unistochastic_group_conditions(allodd, [4]))
-    assert by["product-all-odd-singleton"].status == "pass"
+    assert by["involution-pairs"].status == "pass"
 
 
 def test_conditions_skip_foreign_suites():
+    # a non-abelian group gets the one test, and no cyclic record
     d4 = dihedral_group(4)
-    by = cond_map(unistochastic_group_conditions(d4, [1, 4]))
-    assert by["abelian-double-equal"].status == "not-applicable"
-    assert "cyclic-pair-offset" not in by
-    assert "product-odd-component-equal" not in by
+    conds = unistochastic_group_conditions(d4, [1, 4])
+    assert [(c.name, c.status) for c in conds] == [("involution-pairs", "pass")]
+    conds = unistochastic_group_conditions(d4, [1, 2, 4])
+    assert [(c.name, c.status) for c in conds] == [("involution-pairs", "not-applicable")]
+    assert conds[0].witness == {"note": "derived for two generators only"}
 
 
 def test_dihedral_table_matches_elementwise_rule():
@@ -375,9 +387,8 @@ def test_pair_test_matches_complementarity_and_squares():
                 if g.is_abelian():
                     assert (bad is None) == (g.mult(s, s) == g.mult(t, t)), (spec, s, t)
                 by = cond_map(unistochastic_group_conditions(g, [s, t]))
-                for name in ("involution-pairs", "pairwise-complementary"):
-                    assert by[name].status == ("pass" if bad is None else "fail")
-                    assert by[name].witness == (None if bad is None else {"pair": (s, t)})
+                assert by["involution-pairs"].status == ("pass" if bad is None else "fail")
+                assert by["involution-pairs"].witness == (None if bad is None else {"pair": (s, t)})
         # on longer lists both scans stop at the same pair, in combinations order
         for S in (list(range(g.order)), list(range(g.order))[::-1]):
             first = first_noncomplementary_pair([reps[x] for x in S])
@@ -400,6 +411,39 @@ def test_certified_cayley_patterns_fail_no_necessary_condition():
         if certify(cayley_digraph(g, S), FAST).status != "certified":
             continue
         certified += 1
-        for c in unistochastic_group_conditions(g, S):
-            assert not (c.name in NECESSARY_CONDITIONS and c.status == "fail"), (g, S, c)
+        by = cond_map(unistochastic_group_conditions(g, S))
+        assert by["involution-pairs"].status != "fail", (g, S)
     assert certified > 150
+
+
+def test_involution_test_decides_two_generator_patterns():
+    # the test, quadrangularity, a line-digraph witness and certify agree on every pair
+    counts = {"certified": 0, "excluded": 0}
+    for spec in SMALL_GROUPS:
+        g = build_group(spec)
+        for S in combinations(range(g.order), 2):
+            X = cayley_digraph(g, S)
+            passes = first_noninvolution_pair(g, S) is None
+            assert passes == (not quadrangularity_violations(X)), (spec, S)
+            assert passes == (line_digraph_witness(g, S) is not None), (spec, S)
+            out = certify(X, FAST)
+            if passes:
+                assert out.status == "certified" and out.certificate.kind == "line-digraph-dft", (spec, S)
+            else:
+                assert (out.status, out.reason) == ("excluded", "quadrangularity"), (spec, S)
+            counts[out.status] += 1
+    assert counts == {"certified": 198, "excluded": 429}
+
+
+def test_cyclic_records_that_cannot_fail():
+    # a generating pair {s, s + n/2} always holds a unit, and the graph case
+    # spans Z_n only on Z_2 {0, 1} and Z_4 {1, 3}
+    graph_cases = []
+    for n in range(1, 25):
+        g = cyclic_group(n)
+        for S in combinations(range(n), 2):
+            by = cond_map(unistochastic_group_conditions(g, S))
+            assert by["cyclic-hamiltonian"].status != "fail", (n, S)
+            if by["cyclic-graph-nonhamiltonian"].status != "not-applicable":
+                graph_cases.append((n, S))
+    assert graph_cases == [(2, (0, 1)), (4, (1, 3))]
