@@ -28,10 +28,9 @@ from . import __version__
 from .digraphs import Digraph, add_loops, hypercube_graph
 from .errors import CapacityError, InputError, InternalError, ParseError
 from .groups import (
-    _ORDER_CAP,
     _TABLE_CAP,
-    _check_order,
     _parse_elements,
+    _spec_order,
     build_group,
     cayley_digraph,
     coset_generating_set,
@@ -336,18 +335,10 @@ def _cmd_theorem1(args) -> CommandResult:
 
 
 def _cmd_spectrum(args) -> CommandResult:
-    # the circulant needs only n, so a Z:n spec builds no group table
-    spec = args.group.strip()
-    if not spec.startswith("Z:"):
-        build_group(spec)  # a malformed or oversized spec keeps its own error
+    # the circulant needs only n, read from the spec: no group table is built
+    n = _spec_order(args.group)  # a malformed or oversized spec keeps its own error
+    if not args.group.strip().startswith("Z:"):
         raise InputError(f"spectrum needs a cyclic group (Z:n), got {args.group!r}")
-    try:
-        n = int(spec[2:])
-    except ValueError as exc:
-        raise InputError(f"bad group spec {spec!r}: {exc}") from exc
-    if n < 1:
-        raise InputError("need n >= 1")
-    _check_order(f"Z:{n}", (n,), _ORDER_CAP)
     residues = _parse_elements(args.gens, n)
     vals = circulant_spectrum(n, residues)
     payload = {

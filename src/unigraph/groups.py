@@ -14,7 +14,7 @@ from itertools import combinations, permutations, repeat
 
 import numpy as np
 
-from .digraphs import Digraph, hamiltonian_cycle, permutation_cycles
+from .digraphs import Digraph, permutation_cycles
 from .errors import CapacityError, InputError, ParseError
 from .matrices import Permutation
 from .reporting import FAIL, NOT_APPLICABLE, PASS, Condition
@@ -43,13 +43,14 @@ _ORDER_CAP = 5040  # |S_7|; every family's order is checked before its table is 
 _TABLE_CAP = 1024
 
 
-def _check_order(family: str, factors, cap: int) -> None:
-    """CapacityError once the running product of `factors` (the order) passes the cap."""
+def _check_order(family: str, factors, cap: int) -> int:
+    """The product of `factors` (the order); CapacityError once the running product passes the cap."""
     order = 1
     for f in factors:
         order *= f
         if order > cap:
             raise CapacityError(f"{family} has order above the group cap of {cap}")
+    return order
 
 
 class FiniteGroup:
@@ -276,6 +277,52 @@ def explicit_group(table, names=None) -> FiniteGroup:
     return FiniteGroup(table, names=names, source=("explicit", ()), check_associativity=True)
 
 
+def _family(spec: str):
+    """A built-in family spec as (constructor, argument, order factors), or
+    None for any other spec; InputError unless its parameters are positive integers."""
+    try:
+        if spec.startswith("Z2^"):
+            k = int(spec[3:])
+            family = boolean_cube_group, k, repeat(2, k)
+        elif spec.startswith("Z:"):
+            n = int(spec[2:])
+            family = cyclic_group, n, (n,)
+        elif spec.startswith("D:"):
+            n = int(spec[2:])
+            family = dihedral_group, n, (2, n)
+        elif spec.startswith("S:"):
+            n = int(spec[2:])
+            family = symmetric_group, n, range(1, n + 1)
+        elif spec.startswith("prod:"):
+            factors = []
+            for part in spec[5:].split(","):
+                part = part.strip()
+                if not part.startswith("Z:"):
+                    raise InputError(f"product factors must look like Z:n, got {part!r}")
+                factors.append(int(part[2:]))
+            family = product_of_cyclics, factors, factors
+        else:
+            return None
+    except ValueError as exc:
+        raise InputError(f"bad group spec {spec!r}: {exc}") from exc
+    if np.min(family[1]) < 1:
+        raise InputError(f"bad group spec {spec!r}: parameters must be positive")
+    return family
+
+
+def _spec_order(spec: str) -> int:
+    """The order of the group a spec names, with build_group's errors.
+
+    A family's order is read from the spec, so no table is built; an
+    explicit table is read and checked (at most _TABLE_CAP rows).
+    """
+    spec = spec.strip()
+    family = _family(spec)
+    if family is None:
+        return build_group(spec).order
+    return _check_order(spec, family[2], _ORDER_CAP)
+
+
 def build_group(spec: str, cap: int = _ORDER_CAP) -> FiniteGroup:
     """Group mini-language: Z:n, Z2^k, D:n, S:n, prod:Z:a,Z:b,..., table:<path>.
 
@@ -283,23 +330,11 @@ def build_group(spec: str, cap: int = _ORDER_CAP) -> FiniteGroup:
     its table is built; an explicit table keeps its own _TABLE_CAP rows.
     """
     spec = spec.strip()
+    family = _family(spec)
     try:
-        if spec.startswith("Z2^"):
-            return boolean_cube_group(int(spec[3:]), cap)
-        if spec.startswith("Z:"):
-            return cyclic_group(int(spec[2:]), cap)
-        if spec.startswith("D:"):
-            return dihedral_group(int(spec[2:]), cap)
-        if spec.startswith("S:"):
-            return symmetric_group(int(spec[2:]), cap)
-        if spec.startswith("prod:"):
-            factors = []
-            for part in spec[5:].split(","):
-                part = part.strip()
-                if not part.startswith("Z:"):
-                    raise InputError(f"product factors must look like Z:n, got {part!r}")
-                factors.append(int(part[2:]))
-            return product_of_cyclics(factors, cap)
+        if family is not None:
+            constructor, arg, _ = family
+            return constructor(arg, cap)
         if spec.startswith("table:"):
             path = spec[6:]
             try:
@@ -404,18 +439,13 @@ def first_noninvolution_pair(G: FiniteGroup, S) -> tuple[int, int] | None:
 
 
 def _cyclic_conditions(G: FiniteGroup, gens: list[int], paired: bool) -> list[Condition]:
-    """The four instance records on Z_n; `paired` says S = {s, s + n/2}."""
+    """The three instance records on Z_n; `paired` says S = {s, s + n/2}."""
     n = G.order
     na = lambda name, note: Condition(name, NOT_APPLICABLE, witness={"note": note})  # noqa: E731
     if not paired:
         return [
             na(name, "needs the pair structure {s, s + n/2}")
-            for name in (
-                "cyclic-generation",
-                "cyclic-graph-iff",
-                "cyclic-hamiltonian",
-                "cyclic-graph-nonhamiltonian",
-            )
+            for name in ("cyclic-generation", "cyclic-graph-iff", "cyclic-hamiltonian")
         ]
 
     conds = []
@@ -453,27 +483,12 @@ def _cyclic_conditions(G: FiniteGroup, gens: list[int], paired: bool) -> list[Co
         unit = s if math.gcd(s, n) == 1 else t
         cycle = tuple((j * unit) % n for j in range(n))
         conds.append(Condition("cyclic-hamiltonian", PASS, witness={"cycle": cycle}))
-
-    if not (is_graph and generating):
-        conds.append(na("cyclic-graph-nonhamiltonian", "needs the generating graph case"))
-    else:
-        # S = -S either fixes both elements (S = {0, n/2}, which spans Z_n only
-        # for n = 2) or swaps them (s = n/4, which spans Z_n only for n = 4),
-        # so the search runs on 2 or 4 vertices, far below its cap
-        cycle = hamiltonian_cycle(cayley_digraph(G, gens))
-        conds.append(
-            Condition(
-                "cyclic-graph-nonhamiltonian",
-                PASS if cycle is None else FAIL,
-                witness=None if cycle is None else {"hamiltonian_cycle": tuple(cycle)},
-            )
-        )
     return conds
 
 
 def unistochastic_group_conditions(G: FiniteGroup, S) -> tuple[Condition, ...]:
     """`involution-pairs`, which decides a pattern with two generators, then
-    on Z_n the cyclic suite's four instance records.
+    on Z_n the cyclic suite's three instance records.
 
     X = X(G; {s, t}) is the digraph of a unitary iff s*t^-1 = t*s^-1, the
     test `first_noninvolution_pair` runs:

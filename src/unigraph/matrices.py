@@ -1,4 +1,5 @@
-"""Matrix workhorse: supports, unitarity, DFT, weighing matrices, permutations.
+"""Matrix workhorse: supports, unitarity, DFT, J - I unitaries, weighing
+matrices, permutations.
 
 Complex matrices are plain numpy arrays; the functions here are pure.
 Weighing-matrix arithmetic stays in exact integers; everything unitary is
@@ -20,6 +21,7 @@ __all__ = [
     "support",
     "unitarity_residual",
     "dft",
+    "zero_diagonal_unitary",
     "weighing_weight",
     "hypercube_weighing",
     "block_double",
@@ -90,6 +92,49 @@ def dft(n: int) -> np.ndarray:
         raise InputError("need n >= 1")
     j = np.arange(n)
     return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def zero_diagonal_unitary(n: int) -> np.ndarray | None:
+    """A unitary whose diagonal is exactly 0 (support J - I), by an exact rule, or None.
+
+    - n - 1 = q an odd prime: the Paley conference matrix over the Legendre
+      symbol chi of GF(q), divided by sqrt(q).  Row and column 0 are
+      (0, 1, ..., 1) and (0, chi(-1), ..., chi(-1)), and entry (1+a, 1+b)
+      is chi(b - a).  Since sum chi = 0 and sum_c chi(c - a) chi(c - b) = -1
+      for a != b, C C^T = q I; C is symmetric for q = 1 mod 4 and skew for
+      q = 3 mod 4 (Paley 1933).  Every off-diagonal entry is +-1/sqrt(q).
+    - n = p a prime, n >= 5: the circulant with eigenvalues omega^(j^-1 mod p),
+      omega = e^(2 pi i / p), reading 0^-1 as 0.  j -> j^-1 permutes the
+      residues, so the diagonal is sum_j omega^j / p = 0; the entry at
+      offset k != 0 is (1 + a Kloosterman sum) / p.  Nothing proves that
+      nonzero (its smallest modulus is 0.086 at p = 7, 0.010 at p = 13 and
+      2.0e-5 at p = 89), so a caller checks the entries it needs.
+    - otherwise None: the first is J - I(9), then J - I(10).
+    """
+    if n >= 4 and _is_prime(n - 1):
+        q = n - 1
+        chi = -np.ones(q, dtype=np.int64)
+        chi[0] = 0
+        chi[np.arange(1, q) ** 2 % q] = 1
+        c = np.zeros((n, n))
+        c[0, 1:] = 1.0
+        c[1:, 0] = chi[q - 1]
+        a = np.arange(q)
+        c[1:, 1:] = chi[(a[None, :] - a[:, None]) % q]
+        return (c / math.sqrt(q)).astype(np.complex128)
+    if n >= 5 and _is_prime(n):
+        a = np.arange(n)
+        inverse = np.zeros(n, dtype=np.int64)
+        inverse[1:] = [pow(j, -1, n) for j in range(1, n)]
+        # offset k holds sum_j omega^(j^-1 + j k) / p, exponents reduced exactly
+        first_row = np.exp(2j * np.pi * ((inverse + np.outer(a, a)) % n) / n).sum(axis=1) / n
+        first_row[0] = 0.0
+        return first_row[(a[None, :] - a[:, None]) % n]
+    return None
 
 
 def weighing_weight(w) -> int | None:

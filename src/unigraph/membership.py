@@ -32,8 +32,8 @@ from .matrices import (
     dft,
     hypercube_weighing,
     nearest_unitary,
-    support,
     unitarity_residual,
+    zero_diagonal_unitary,
 )
 from .reporting import FAIL, PASS, Condition, ConditionReport
 
@@ -157,18 +157,48 @@ def _registry_certificate(D: Digraph) -> np.ndarray | None:
     return None
 
 
-def _verify_certificate(D: Digraph, kind: str, matrix: np.ndarray, cfg: SolverConfig) -> Certificate:
-    """Measure a constructed matrix once and release it as a certificate.
+def _block_rule(sub: np.ndarray) -> np.ndarray | None:
+    """The exact unitary for one square row-column block, or None.
 
-    A matrix that fails its own claim is a bug, never silence.
+    DFT(d) for a full block.  For a 3x3 block with one zero, _V3 with its
+    rows and columns permuted so that its zero lands on the block's.  For a
+    block J - P with one zero in each row and column, zero_diagonal_unitary
+    with its columns permuted so that row i's zero lands on the block's; it
+    has no rule for some sizes (J - I(9), J - I(10)), and J - P supports no
+    unitary below four rows.
     """
+    zr, zc = np.nonzero(sub == 0)  # in row order
+    if not len(zr):
+        return dft(len(sub))
+    if sub.shape == (3, 3) and len(zr) == 1:
+        r = np.arange(3)  # row i takes _V3's row 0 and column j its column 2, where its zero is
+        return _V3[np.ix_((r - zr[0]) % 3, (r - zc[0] + 2) % 3)]
+    if np.array_equal(zr, np.arange(len(sub))) and np.unique(zc).size == len(zc):
+        m = zero_diagonal_unitary(len(sub))
+        return None if m is None else m[:, np.argsort(zc)]
+    return None
+
+
+def _checked_residual(pattern: np.ndarray, matrix: np.ndarray, cfg: SolverConfig) -> float | None:
+    """The matrix's unitarity residual if it is within tol and the entries
+    above the magnitude floor are exactly the pattern's; else None."""
+    if not np.array_equal(np.abs(matrix) > cfg.min_magnitude, pattern != 0):
+        return None
     residual = unitarity_residual(matrix)
-    if residual > cfg.tol:
+    return residual if residual <= cfg.tol else None
+
+
+def _verify_certificate(D: Digraph, kind: str, matrix: np.ndarray, cfg: SolverConfig) -> Certificate:
+    """Measure an assembled matrix once and release it as a certificate.
+
+    Each block in it passed the same check, so a failure is a bug, never silence.
+    """
+    residual = _checked_residual(D.adj, matrix, cfg)
+    if residual is None:
         raise InternalError(
-            f"{kind} certificate has unitarity residual {residual:.3e} > tol {cfg.tol:.1e}"
+            f"{kind} certificate misses tol {cfg.tol:.1e} or its support at the magnitude floor "
+            f"{cfg.min_magnitude:.1e} differs from the input digraph"
         )
-    if support(matrix, cfg.min_magnitude) != D:
-        raise InternalError(f"{kind} certificate support does not match the input digraph")
     return Certificate(kind, matrix, residual)
 
 
@@ -178,11 +208,13 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     A unitary with support D is block-diagonal, up to row and column
     permutations, along the components of D's row-column graph, so D is a
     member iff every block is.  Order: necessary battery (excluded on any
-    failure); an exact rule per block, DFT(d) for a full block and a
-    permuted _V3 for a 3x3 block with one zero (between them every block of
-    at most three rows that passes the battery); if some block has no rule,
-    the registry on the whole pattern, else alternating projection for
-    each such block.  Every certificate is verified before release.
+    failure); an exact rule per block (`_block_rule`: DFT for a full block,
+    a permuted _V3 for a 3x3 block with one zero, Paley or prime circulant
+    for J - P); if some block has no rule, the registry on the whole
+    pattern, else alternating projection for each such block.  An exact
+    or registry matrix that misses the caller's tol or magnitude floor
+    counts as no rule, so the solver answers for it.  Every certificate is
+    checked before release.
     """
     cfg = cfg or SolverConfig()
     battery = necessary_battery(D)
@@ -197,26 +229,24 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
         # term rank n pairs every row with a column of its own block
         if sub.shape[0] != sub.shape[1]:
             raise InternalError(f"battery passed a pattern with a {sub.shape[0]}x{sub.shape[1]} block")
-        if sub.all():
-            u[np.ix_(rows, cols)] = dft(len(rows))
-        elif sub.shape == (3, 3) and np.count_nonzero(sub) == 8:
-            (i,), (j,) = np.nonzero(sub == 0)
-            r = np.arange(3)  # row i takes _V3's row 0 and column j its column 2, where its zero is
-            u[np.ix_(rows, cols)] = _V3[np.ix_((r - i) % 3, (r - j + 2) % 3)]
-            kind = "explicit"
-        else:
+        m = _block_rule(sub)
+        if m is None or _checked_residual(sub, m, cfg) is None:
             unruled.append((rows, cols, sub))
+            continue
+        u[np.ix_(rows, cols)] = m
+        if not sub.all():
+            kind = "explicit"
     if unruled:
         cube = _registry_certificate(D)
-        if cube is not None:
-            kind, u = "weighing", cube
-        else:
-            for rows, cols, sub in unruled:
-                m = alternating_projection(Digraph(sub), cfg)
-                if m is None:
-                    return CertifyOutcome("undecided", battery, None, "no realization found within budget")
-                u[np.ix_(rows, cols)] = m
-            kind = "numerical"
+        residual = None if cube is None else _checked_residual(D.adj, cube, cfg)
+        if residual is not None:
+            return CertifyOutcome("certified", battery, Certificate("weighing", cube, residual), None)
+        for rows, cols, sub in unruled:
+            m = alternating_projection(Digraph(sub), cfg)
+            if m is None:
+                return CertifyOutcome("undecided", battery, None, "no realization found within budget")
+            u[np.ix_(rows, cols)] = m
+        kind = "numerical"
     return CertifyOutcome("certified", battery, _verify_certificate(D, kind, u, cfg), None)
 
 

@@ -46,7 +46,7 @@ FAST = SolverConfig(restarts=6, max_iter=600)
 def test_criterion_01_z4_certificate():
     D = ug.complete_graph(4)  # J - I on four vertices
     out = certify(D)
-    assert out.status == "certified"
+    assert out.status == "certified" and out.certificate.kind == "explicit"  # Paley, q = 3
     assert out.certificate.residual < 1e-8
     assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
 
@@ -74,14 +74,16 @@ def test_criterion_02_hypercube_weighings():
         assert np.array_equal(wl @ wl.T, (k + 1) * np.eye(n, dtype=np.int64))
         assert support(wl.astype(np.float64)) == ug.add_loops(ug.hypercube_graph(k))
 
-    out = certify(ug.hypercube_graph(3), FAST)
-    assert out.status == "certified"
-    assert out.certificate.kind == "weighing"
-    assert out.certificate.residual < 1e-12
-    assert check_certificate(ug.hypercube_graph(3), out.certificate.matrix, 1e-12, 1e-6)
+    # Q3 is two J - P blocks, which the Paley rule takes first; Q4 reaches the registry
+    for k, kind in ((3, "explicit"), (4, "weighing")):
+        out = certify(ug.hypercube_graph(k), FAST)
+        assert out.status == "certified"
+        assert out.certificate.kind == kind
+        assert out.certificate.residual < 1e-12
+        assert check_certificate(ug.hypercube_graph(k), out.certificate.matrix, 1e-12, 1e-6)
     print(
         "criterion 2: pass - exact integer weighings for k=2..6, "
-        f"Q3 certificate residual {out.certificate.residual:.2e}"
+        f"Q4 certificate residual {out.certificate.residual:.2e}"
     )
 
 

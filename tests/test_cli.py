@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import unigraph as ug
-from unigraph import InternalError, ParseError
+from unigraph import InternalError, ParseError, membership
 from unigraph.cli import build_parser, main, parse_digraph
 from unigraph.matrices import matrix_from_jsonable, weighing_weight
 
@@ -76,12 +76,28 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert report["payload"]["status"] == "excluded"
     assert report["payload"]["reason"] == "quadrangularity"
 
-    k4 = write_digraph(tmp_path, "k4.txt", ug.complete_graph(4))
+    # 7167@6 reaches the solver (J - I(4) has an exact rule)
+    solver_bound = write_digraph(tmp_path, "7167.txt", membership._mask_to_digraph(6, 7167))
     code, report, _ = run_json(
-        capsys, ["certify", "--in", k4, "--restarts", "1", "--max-iter", "3"]
+        capsys, ["certify", "--in", solver_bound, "--restarts", "1", "--max-iter", "3"]
     )
     assert code == 2
     assert report["payload"]["status"] == "undecided"
+
+
+def test_certify_exact_rules_yield_to_the_callers_bounds(tmp_path, capsys):
+    # DFT(2) on looped K2 misses a floor of 0.75 and a tol of 1e-20; the
+    # solver then answers undecided, where a failed self-check once exited 5
+    looped_k2 = write_digraph(tmp_path, "k2.txt", ug.add_loops(ug.cycle_graph(2)))
+    for flags in (["--delta", "0.75"], ["--tol", "1e-20"]):
+        code, report, err = run_json(capsys, ["certify", "--in", looped_k2, *flags])
+        assert (code, err) == (2, "")
+        assert report["payload"]["status"] == "undecided"
+    # J - I(11)'s circulant has entries below 0.05, so the solver certifies it
+    j11 = write_digraph(tmp_path, "j11.txt", ug.complete_graph(11))
+    code, report, err = run_json(capsys, ["certify", "--in", j11, "--delta", "0.05"])
+    assert (code, err) == (0, "")
+    assert report["payload"]["certificate"]["kind"] == "numerical"
 
 
 def test_analyze_exit_codes(tmp_path, capsys):
@@ -313,8 +329,21 @@ def test_spectrum_reads_the_order_from_the_spec(capsys):
     assert code == 0 and report["payload"]["n"] == 5040
     assert len(report["payload"]["eigenvalues"]) == 5040
     assert peak < 32 * 2**20
+    # a refused non-cyclic spec builds no table either
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["spectrum", "--group", "D:2520", "--gens", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and "cyclic" in err
+    assert peak < 32 * 2**20
     for spec, gens, want in (
         ("S:8", "1", 4),
+        ("S:7", "1", 3),
+        ("Z2^13", "1", 4),
+        ("prod:Z:2,Z:x", "1", 3),
+        ("D:0", "1", 3),
         ("Z:0", "1", 3),
         ("Z:abc", "1", 3),
         ("Z:5041", "1", 4),

@@ -7,7 +7,7 @@ from conftest import find_isomorphism, pnk_digraph
 
 import unigraph as ug
 from unigraph import InputError, ParseError
-from unigraph.digraphs import quadrangularity_violations
+from unigraph.digraphs import hamiltonian_cycle, quadrangularity_violations
 from unigraph.groups import (
     boolean_cube_group,
     build_group,
@@ -245,11 +245,10 @@ def test_conditions_z8():
     z8 = cyclic_group(8)
     conds = unistochastic_group_conditions(z8, [1, 5])
     assert [c.name for c in conds] == ["involution-pairs", "cyclic-generation", "cyclic-graph-iff",
-                                       "cyclic-hamiltonian", "cyclic-graph-nonhamiltonian"]
+                                       "cyclic-hamiltonian"]
     by = cond_map(conds)
     for name in ("involution-pairs", "cyclic-generation", "cyclic-graph-iff", "cyclic-hamiltonian"):
         assert by[name].status == "pass", name
-    assert by["cyclic-graph-nonhamiltonian"].status == "not-applicable"
 
 
 def test_conditions_failures_and_witnesses():
@@ -270,12 +269,12 @@ def test_conditions_failures_and_witnesses():
     assert gen.witness["parity_criterion_predicts"] is True
     assert gen.witness["criterion_matches"] is False
 
-    # the 4-cycle is the honest failure of the non-hamiltonicity record
+    # the 4-cycle is the generating graph case, and it is hamiltonian
     z4 = cyclic_group(4)
     by = cond_map(unistochastic_group_conditions(z4, [1, 3]))
     assert by["cyclic-graph-iff"].status == "pass"
-    assert by["cyclic-graph-nonhamiltonian"].status == "fail"
-    assert "hamiltonian_cycle" in by["cyclic-graph-nonhamiltonian"].witness
+    assert by["cyclic-graph-iff"].witness["is_graph"]
+    assert by["cyclic-hamiltonian"].witness == {"cycle": (0, 1, 2, 3)}
 
     # an odd-order group: a single generator passes, and no pair does, since
     # a passing pair makes s*t^-1 an involution
@@ -444,6 +443,9 @@ def test_cyclic_records_that_cannot_fail():
         for S in combinations(range(n), 2):
             by = cond_map(unistochastic_group_conditions(g, S))
             assert by["cyclic-hamiltonian"].status != "fail", (n, S)
-            if by["cyclic-graph-nonhamiltonian"].status != "not-applicable":
+            if by["cyclic-generation"].status == "pass" and by["cyclic-graph-iff"].witness["is_graph"]:
                 graph_cases.append((n, S))
     assert graph_cases == [(2, (0, 1)), (4, (1, 3))]
+    # both are hamiltonian, which is why no non-hamiltonicity record is kept
+    for n, S in graph_cases:
+        assert hamiltonian_cycle(cayley_digraph(cyclic_group(n), S)) is not None

@@ -20,6 +20,7 @@ from unigraph.matrices import (
     support,
     unitarity_residual,
     weighing_weight,
+    zero_diagonal_unitary,
 )
 
 
@@ -68,6 +69,33 @@ def test_dft_unitary_and_full_support():
         assert unitarity_residual(f) < 1e-12
         assert np.array_equal(support(f).adj, np.ones((n, n), dtype=np.int8))
     assert np.allclose(dft(2) * math.sqrt(2), [[1, 1], [1, -1]])
+
+
+def test_zero_diagonal_unitary():
+    def is_prime(n):
+        return n > 1 and all(n % k for k in range(2, n))
+
+    for n in range(1, 40):
+        m = zero_diagonal_unitary(n)
+        if not (n >= 4 and is_prime(n - 1) or n >= 5 and is_prime(n)):
+            assert m is None, n
+            continue
+        assert unitarity_residual(m) < 1e-14, n
+        assert np.all(np.diagonal(m) == 0), n
+        off = np.abs(m[~np.eye(n, dtype=bool)])
+        if is_prime(n - 1):
+            # Paley: real, entries +-1/sqrt(n-1), symmetric for n-1 = 1 mod 4, skew otherwise
+            assert np.array_equal(m.imag, np.zeros((n, n))), n
+            assert np.allclose(off, 1 / math.sqrt(n - 1)), n
+            sign = 1 if (n - 1) % 4 == 1 else -1
+            assert np.array_equal(m.T, sign * m), n
+        else:
+            # prime circulant: entry (a, b) depends on b - a only
+            a = np.arange(n)
+            assert np.array_equal(m, m[0][(a[None, :] - a[:, None]) % n]), n
+    # the circulant's Kloosterman entries are small but nonzero at p = 7 and 13
+    mins = {p: np.abs(zero_diagonal_unitary(p))[~np.eye(p, dtype=bool)].min() for p in (7, 13)}
+    assert 0.08 < mins[7] < 0.09 and 0.009 < mins[13] < 0.011
 
 
 def test_weighing_weight():

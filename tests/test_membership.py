@@ -26,6 +26,10 @@ BATTERY_ORDER = ("quadrangularity", "term-rank")
 
 FAST = SolverConfig(restarts=6, max_iter=2000)
 
+# 7167@6: a 6-vertex graph whose one row-column block has no exact rule, so
+# certify reaches the solver
+SOLVER_BOUND = membership._mask_to_digraph(6, 7167)
+
 
 def test_solver_config_validation():
     with pytest.raises(InputError):
@@ -239,11 +243,11 @@ def test_dft_route_fires_exactly_on_line_digraphs():
 
 
 def test_certify_solves_block_by_block():
-    # relabeled Q3 escapes the registry and splits into two J-I(4) blocks;
-    # J-I(4) + directed C3 has one solver block and three 1x1 DFT blocks
-    q3 = ug.hypercube_graph(3).adj
-    p = [3, 0, 5, 1, 4, 2, 7, 6]
-    cases = ((Digraph(q3[np.ix_(p, p)]), 2), (disjoint_union(ug.complete_graph(4), ug.directed_cycle(3)), 4))
+    # two copies of 7167@6, one relabeled, are two solver blocks; 7167@6 +
+    # directed C3 has one solver block and three 1x1 DFT blocks
+    p = [3, 0, 5, 1, 4, 2]
+    relabeled = Digraph(SOLVER_BOUND.adj[np.ix_(p, p)])
+    cases = ((disjoint_union(SOLVER_BOUND, relabeled), 2), (disjoint_union(SOLVER_BOUND, ug.directed_cycle(3)), 4))
     for D, block_count in cases:
         out = certify(D, FAST)
         assert out.status == "certified" and out.certificate.kind == "numerical"
@@ -276,7 +280,10 @@ def test_certify_k2_registry():
 
 
 def test_certify_numerical_j4():
-    D = ug.complete_graph(4)
+    # J - I(4) has the Paley rule; the solver's route is shown on 7167@6
+    out = certify(ug.complete_graph(4), FAST)
+    assert out.status == "certified" and out.certificate.kind == "explicit"
+    D = SOLVER_BOUND
     out = certify(D, FAST)
     assert out.status == "certified"
     assert out.certificate.kind == "numerical"
@@ -285,7 +292,7 @@ def test_certify_numerical_j4():
 
 
 def test_certify_undecided_on_tiny_budget():
-    D = ug.complete_graph(4)
+    D = SOLVER_BOUND
     out = certify(D, SolverConfig(restarts=1, max_iter=3))
     assert out.status == "undecided"
     assert out.certificate is None
@@ -293,15 +300,17 @@ def test_certify_undecided_on_tiny_budget():
 
 
 def test_certify_hypercube_routes():
-    q3 = ug.hypercube_graph(3)
-    out = certify(q3, FAST)
-    assert out.status == "certified" and out.certificate.kind == "weighing"
-    assert check_certificate(q3, out.certificate.matrix, 1e-12, 1e-6)
+    # Q3 and looped Q2 are two and one J - P blocks, so an exact rule takes
+    # them before the registry; Q4 and looped Q3 reach the registry
+    for D in (ug.hypercube_graph(3), ug.add_loops(ug.hypercube_graph(2))):
+        out = certify(D, FAST)
+        assert out.status == "certified" and out.certificate.kind == "explicit"
+        assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)
 
-    looped = ug.add_loops(q3)
-    out = certify(looped, FAST)
-    assert out.status == "certified" and out.certificate.kind == "weighing"
-    assert check_certificate(looped, out.certificate.matrix, 1e-12, 1e-6)
+    for D in (ug.hypercube_graph(4), ug.add_loops(ug.hypercube_graph(3))):
+        out = certify(D, FAST)
+        assert out.status == "certified" and out.certificate.kind == "weighing"
+        assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)
 
 
 def test_certify_k33_minus_edge_relabeled():
@@ -365,6 +374,56 @@ def test_blocks_of_at_most_three_rows_never_reach_the_solver(monkeypatch):
         all_full = all(b.all() for b in blocks)
         assert out.certificate.kind == ("line-digraph-dft" if all_full else "explicit")
         assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)
+
+
+def j_minus_p(d, rng=None):
+    a = np.ones((d, d), dtype=np.int8)
+    a[np.arange(d), np.arange(d) if rng is None else rng.permutation(d)] = 0
+    return a
+
+
+def test_j_minus_p_blocks_never_reach_the_solver(monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(membership, "alternating_projection", no_solver)
+    rng = np.random.default_rng(17)
+    q3 = ug.hypercube_graph(3).adj
+    p = [3, 0, 5, 1, 4, 2, 7, 6]
+    cases = [Digraph(q3[np.ix_(p, p)])]  # relabeled Q3: two J - P blocks
+    for d in (4, 5, 6, 7, 8, 11, 12, 13, 14):
+        cases += [Digraph(j_minus_p(d)), Digraph(j_minus_p(d, rng))]
+        assert not np.array_equal(cases[-1].adj, cases[-2].adj)
+    # one J - P block beside a full block, a one-zero 3x3 block and a 1x1,
+    # with rows and columns permuted apart
+    one_zero = np.ones((3, 3), dtype=np.int8)
+    one_zero[1, 2] = 0
+    blocks = (j_minus_p(7, rng), np.ones((2, 2), dtype=np.int8), one_zero, np.ones((1, 1), dtype=np.int8))
+    union = disjoint_union(*map(Digraph, blocks))
+    cases.append(Digraph(union.adj[np.ix_(rng.permutation(union.n), rng.permutation(union.n))]))
+    for D in cases:
+        out = certify(D)
+        assert out.status == "certified" and out.certificate.kind == "explicit", D.adj
+        assert out.certificate.residual <= 1e-12
+        assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)  # support = D, by plain products
+
+
+def test_j_minus_i_without_a_rule_stays_numerical():
+    for d in (9, 10):
+        D = Digraph(j_minus_p(d))
+        out = certify(D)
+        assert out.status == "certified" and out.certificate.kind == "numerical"
+        assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+
+
+def test_registry_below_the_callers_floor_goes_to_the_solver():
+    # Q4's weighing matrix and Q3's Paley blocks have entries 1/2 and
+    # 1/sqrt(3); four entries per row cannot all clear 0.6, so the answer
+    # is the solver's undecided, not a failed self-check
+    cfg = SolverConfig(min_magnitude=0.6, restarts=2, max_iter=200)
+    for D in (ug.hypercube_graph(4), ug.hypercube_graph(3)):
+        out = certify(D, cfg)
+        assert (out.status, out.certificate) == ("undecided", None)
 
 
 def test_alternating_projection_determinism():
