@@ -312,10 +312,9 @@ def _cmd_theorem1(args) -> CommandResult:
     X = cayley_digraph(G, T)
     cfg = _solver_config(args)
     out = certify(X, cfg)
-    if out.status != "certified":
+    if out.status == "excluded":
         raise InternalError(f"coset Cayley digraph failed to certify: {out.status}")
     x, sub = wit
-    cert = out.certificate
     payload = {
         "group": {"spec": args.group, "order": G.order},
         "generators": gens,
@@ -323,14 +322,20 @@ def _cmd_theorem1(args) -> CommandResult:
         "coset": T,
         "coset_names": [G.names[t] for t in T],
         "witness": _subgroup_payload(G, x, sub),
-        "certificate": _certificate_payload(cert),
     }
     summary = [
         f"coset generating set has {len(T)} elements: {', '.join(G.names[t] for t in T)}",
         f"witness subgroup: {', '.join(G.names[h] for h in sub)}",
-        f"certificate: {cert.kind}, residual {cert.residual:.3e}",
     ]
     digest = _params_digest({"group": args.group, "gens": args.gens})
+    # the witness's DFT blocks realize X, so only the caller's tol or delta can leave it undecided
+    if out.status == "undecided":
+        payload.update(status=out.status, reason=out.reason, certificate=None)
+        summary += [f"status: {out.status}", f"reason: {out.reason}"]
+        return CommandResult(2, payload, summary, seed=args.seed, digest=digest)
+    cert = out.certificate
+    payload["certificate"] = _certificate_payload(cert)
+    summary.append(f"certificate: {cert.kind}, residual {cert.residual:.3e}")
     return CommandResult(0, payload, summary, seed=args.seed, digest=digest)
 
 

@@ -6,7 +6,6 @@ the diagonal, and an (undirected) edge is a pair of antiparallel arcs.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -19,21 +18,14 @@ __all__ = [
     "Digraph",
     "StructureReport",
     "TermRank",
-    "TwoMatching",
-    "AutomorphismReport",
-    "neighborhood",
     "structure_report",
     "strong_components",
     "quadrangularity_violations",
-    "diameter",
     "term_rank",
-    "cycle_factor",
     "permutation_cycles",
-    "perfect_two_matching",
     "hall_violations",
     "connectivity_numbers",
     "hamiltonian_cycle",
-    "automorphism_group",
     "induced_subgraph_search",
     "bipartition",
     "directed_cycle",
@@ -41,13 +33,8 @@ __all__ = [
     "cycle_graph",
     "path_graph",
     "complete_graph",
-    "star_graph",
-    "claw_graph",
-    "paw_graph",
-    "k33_minus_edge",
     "hypercube_graph",
     "add_loops",
-    "induced_subdigraph",
 ]
 
 
@@ -123,34 +110,6 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
-
-
-def _check_vertices(D: Digraph, members) -> list[int]:
-    out = []
-    for v in members:
-        v = int(v)
-        if not 0 <= v < D.n:
-            raise InputError(f"vertex {v} out of range 0..{D.n - 1}")
-        out.append(v)
-    return out
-
-
-def neighborhood(D: Digraph, members, direction: str = "out") -> frozenset[int]:
-    """N+(S), N-(S), or their union for a vertex set S.
-
-    N+(S) collects heads of arcs leaving S; N-(S) collects tails of arcs
-    entering S.  Vertices of S may appear in the result (loops, 2-cycles).
-    """
-    vs = _check_vertices(D, members)
-    if direction not in ("in", "out", "both"):
-        raise InputError(f"direction must be 'in', 'out' or 'both', got {direction!r}")
-    result: set[int] = set()
-    for v in vs:
-        if direction in ("out", "both"):
-            result.update(D.out_neighbors(v))
-        if direction in ("in", "both"):
-            result.update(D.in_neighbors(v))
-    return frozenset(result)
 
 
 # === connectivity structure ===
@@ -323,29 +282,6 @@ def quadrangularity_violations(D: Digraph) -> list[tuple[tuple[int, int], str]]:
     return [((int(i), int(j)), "out" if s else "in") for i, j, s in np.argwhere(single)]
 
 
-def diameter(D: Digraph):
-    """Max over ordered pairs of dipath distance; math.inf if some pair is unreachable."""
-    n = D.n
-    out = [D.out_neighbors(v) for v in range(n)]
-    best = 0
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        q = deque([s])
-        seen = 1
-        while q:
-            v = q.popleft()
-            for w in out[v]:
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    seen += 1
-                    q.append(w)
-        if seen < n:
-            return math.inf
-        best = max(best, max(dist))
-    return best
-
-
 # === matchings ===
 
 def _hopcroft_karp(rows: list[list[int]], n_cols: int) -> list[int | None]:
@@ -410,18 +346,6 @@ def term_rank(D: Digraph) -> TermRank:
     return TermRank(value=value, matching=tuple(match_row))
 
 
-def cycle_factor(D: Digraph) -> tuple[int, ...] | None:
-    """Permutation p with an arc (i, p(i)) for every i, or None.
-
-    Exists iff the term rank equals n; the support of p is a spanning
-    union of dicycles.
-    """
-    tr = term_rank(D)
-    if tr.value < D.n:
-        return None
-    return tuple(int(c) for c in tr.matching)  # type: ignore[arg-type]
-
-
 def permutation_cycles(perm) -> tuple[tuple[int, ...], ...]:
     """Cycle decomposition of a permutation given in one-line notation."""
     seen = [False] * len(perm)
@@ -437,35 +361,6 @@ def permutation_cycles(perm) -> tuple[tuple[int, ...], ...]:
             v = perm[v]
         cycles.append(tuple(cyc))
     return tuple(cycles)
-
-
-@dataclass(frozen=True)
-class TwoMatching:
-    """Spanning subgraph made of vertex-disjoint edges and cycles."""
-
-    edges: tuple[tuple[int, int], ...]
-    cycles: tuple[tuple[int, ...], ...]
-
-
-def perfect_two_matching(D: Digraph) -> TwoMatching | None:
-    """Perfect 2-matching of a loop-free graph, or None if there is none.
-
-    Built from a cycle factor: its 2-cycles give edges, longer cycles give
-    cycles; loop-freeness rules out fixed points, so together they cover
-    every vertex exactly.
-    """
-    if not D.is_symmetric():
-        raise InputError("perfect_two_matching needs a graph (symmetric adjacency)")
-    if D.has_loops():
-        raise InputError("perfect_two_matching needs a loop-free graph")
-    perm = cycle_factor(D)
-    if perm is None:
-        return None
-    cycles = permutation_cycles(perm)
-    return TwoMatching(
-        edges=tuple(c for c in cycles if len(c) == 2),
-        cycles=tuple(c for c in cycles if len(c) > 2),
-    )
 
 
 def _konig_set(D: Digraph, matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -627,7 +522,7 @@ def hamiltonian_cycle(D: Digraph, limit_n: int = 12) -> list[int] | None:
     return path if extend() else None
 
 
-# === automorphisms and pattern search ===
+# === pattern search ===
 
 def _search_order(D: Digraph) -> list[int]:
     """BFS order over the underlying graph so each vertex sees a placed neighbor."""
@@ -649,24 +544,14 @@ def _search_order(D: Digraph) -> list[int]:
     return order
 
 
-@dataclass(frozen=True)
-class AutomorphismReport:
-    automorphisms: tuple[tuple[int, ...], ...]
-    vertex_transitive: bool
-    arc_transitive: bool
+def induced_subgraph_search(D: Digraph, H: Digraph) -> tuple[int, ...] | None:
+    """Injective map f with H(u,v) = D(f(u),f(v)) for all u,v, or None.
 
-    @property
-    def order(self) -> int:
-        return len(self.automorphisms)
-
-
-def _embeddings(H: Digraph, D: Digraph, keys_h, keys_d):
-    """Every injective f with H(u,v) = D(f(u),f(v)) for all u,v, by backtracking.
-
-    H's vertices are placed in `_search_order(H)`, each trying the least free
-    candidate first; v may only go to a w with keys_h[v] == keys_d[w], so
-    the keys must be invariants that every such map preserves.
+    Backtracking: H's vertices are placed in `_search_order(H)`, each trying
+    the least free vertex of D with the same loop state first.
     """
+    if H.n > D.n:
+        return None
     AH, AD = H.adj.tolist(), D.adj.tolist()
     order = _search_order(H)
     image = [-1] * H.n
@@ -674,46 +559,21 @@ def _embeddings(H: Digraph, D: Digraph, keys_h, keys_d):
 
     def place(k):
         if k == len(order):
-            yield tuple(image)
-            return
+            return True
         v = order[k]
         placed = [(AH[u][v], AH[v][u], image[u]) for u in order[:k]]
         for w in range(D.n):
-            if taken[w] or keys_h[v] != keys_d[w]:
+            if taken[w] or AH[v][v] != AD[w][w]:
                 continue
             if all(uv == AD[fu][w] and vu == AD[w][fu] for uv, vu, fu in placed):
                 image[v] = w
                 taken[w] = True
-                yield from place(k + 1)
+                if place(k + 1):
+                    return True
                 taken[w] = False
+        return False
 
-    return place(0)
-
-
-def automorphism_group(D: Digraph, limit_n: int = 10) -> AutomorphismReport:
-    """All adjacency-preserving vertex permutations, with transitivity flags."""
-    n = D.n
-    if n > limit_n:
-        raise CapacityError(f"automorphism search capped at {limit_n} vertices, got {n}")
-    profile = [(D.in_degree(v), D.out_degree(v), int(D.adj[v, v])) for v in range(n)]
-    perms = tuple(sorted(_embeddings(D, D, profile, profile)))
-    vertex_orbit = {p[0] for p in perms}
-    vertex_transitive = len(vertex_orbit) == n
-    arcs = D.arcs()
-    if arcs:
-        a0 = arcs[0]
-        arc_orbit = {(p[a0[0]], p[a0[1]]) for p in perms}
-        arc_transitive = arc_orbit == set(arcs)
-    else:
-        arc_transitive = True
-    return AutomorphismReport(perms, vertex_transitive, arc_transitive)
-
-
-def induced_subgraph_search(D: Digraph, H: Digraph) -> tuple[int, ...] | None:
-    """Injective map f with H(u,v) = D(f(u),f(v)) for all u,v, or None."""
-    if H.n > D.n:
-        return None
-    return next(_embeddings(H, D, H.adj.diagonal().tolist(), D.adj.diagonal().tolist()), None)
+    return tuple(image) if place(0) else None
 
 
 def bipartition(D: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -727,14 +587,6 @@ def bipartition(D: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     if D.has_loops():
         return None
     return _lowpoint_dfs(D)[3]
-
-
-def induced_subdigraph(D: Digraph, vertices) -> Digraph:
-    vs = _check_vertices(D, vertices)
-    if len(set(vs)) != len(vs) or not vs:
-        raise InputError("vertex list must be nonempty and duplicate-free")
-    idx = np.array(vs)
-    return Digraph(D.adj[np.ix_(idx, idx)])
 
 
 # === standard patterns ===
@@ -782,43 +634,6 @@ def complete_graph(n: int) -> Digraph:
         raise InputError("need n >= 1")
     a = np.ones((n, n), dtype=np.int8)
     np.fill_diagonal(a, 0)
-    return Digraph(a)
-
-
-def star_graph(leaves: int) -> Digraph:
-    """Center 0 joined to `leaves` leaves."""
-    if leaves < 1:
-        raise InputError("need at least one leaf")
-    n = leaves + 1
-    a = np.zeros((n, n), dtype=np.int8)
-    a[0, 1:] = 1
-    a[1:, 0] = 1
-    return Digraph(a)
-
-
-def claw_graph() -> Digraph:
-    return star_graph(3)
-
-
-def paw_graph() -> Digraph:
-    """Triangle with one pendant vertex."""
-    return Digraph(
-        [
-            [0, 1, 0, 0],
-            [1, 0, 1, 1],
-            [0, 1, 0, 1],
-            [0, 1, 1, 0],
-        ]
-    )
-
-
-def k33_minus_edge() -> Digraph:
-    """Complete bipartite graph on 3+3 vertices minus the edge {0, 5}."""
-    a = np.zeros((6, 6), dtype=np.int8)
-    for i in (0, 1, 2):
-        for j in (3, 4, 5):
-            a[i, j] = a[j, i] = 1
-    a[0, 5] = a[5, 0] = 0
     return Digraph(a)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .digraphs import Digraph, permutation_cycles
 from .errors import CapacityError, InputError, ParseError
-from .matrices import Permutation
 from .reporting import FAIL, NOT_APPLICABLE, PASS, Condition
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "explicit_group",
     "build_group",
     "cayley_digraph",
-    "regular_representation",
     "first_noninvolution_pair",
     "coset_generating_set",
     "line_digraph_witness",
@@ -376,12 +374,6 @@ def cayley_digraph(G: FiniteGroup, S) -> Digraph:
     return Digraph(a)
 
 
-def regular_representation(G: FiniteGroup, s: int) -> Permutation:
-    """The permutation g -> s*g; summing its matrices over S gives the Cayley pattern."""
-    (s,) = G._check_elements([s])
-    return Permutation(tuple(int(x) for x in G.table[s]))
-
-
 def coset_generating_set(G: FiniteGroup, s1: int, s2: int) -> tuple[int, ...]:
     """Left coset s1*<c> with c = s1^-1 * s2, for a generating pair {s1, s2}.
 
@@ -427,9 +419,10 @@ def first_noninvolution_pair(G: FiniteGroup, S) -> tuple[int, int] | None:
 
     s*t^-1 = t*s^-1 says that (s*t^-1)^2 = e; for two generators it decides
     the Cayley pattern (`unistochastic_group_conditions` has the proof).
-    It is `complementary(P_s, P_t)` for the permutations
-    g -> s*g and g -> t*g: with h = s^-1*t*i, "q(i) = p(h) implies
-    q(h) = p(i)" reads t*s^-1*t = s.  On an abelian group it is s^2 = t^2.
+    It says that the permutations p: g -> s*g and q: g -> t*g are
+    complementary (q(i) = p(h) implies q(h) = p(i) for all i, h): with
+    h = s^-1*t*i that reads t*s^-1*t = s.  On an abelian group it is
+    s^2 = t^2.
     """
     gens = G._check_elements(S)
     for s, t in combinations(gens, 2):

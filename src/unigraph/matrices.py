@@ -1,5 +1,5 @@
 """Matrix workhorse: supports, unitarity, DFT, J - I unitaries, weighing
-matrices, permutations.
+matrices, the polar factor, circulant spectra.
 
 Complex matrices are plain numpy arrays; the functions here are pure.
 Weighing-matrix arithmetic stays in exact integers; everything unitary is
@@ -9,7 +9,6 @@ M† M from the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,12 +23,7 @@ __all__ = [
     "zero_diagonal_unitary",
     "weighing_weight",
     "hypercube_weighing",
-    "block_double",
     "nearest_unitary",
-    "Permutation",
-    "complementary",
-    "first_noncomplementary_pair",
-    "pairwise_complementary",
     "circulant_spectrum",
     "matrix_to_jsonable",
     "matrix_from_jsonable",
@@ -201,20 +195,6 @@ def hypercube_weighing(k: int, loops: bool = False) -> np.ndarray:
     return w
 
 
-def block_double(a, tol: float = 1e-8) -> np.ndarray:
-    """(1/sqrt 2)·[[A, -I], [I, A†]] for a unitary A; unitary again, twice the size.
-
-    For real A the corner is the plain transpose; for complex A only the
-    conjugate transpose keeps the result unitary, so that is what is used.
-    """
-    m = _square(a).astype(np.complex128)
-    r = unitarity_residual(m)
-    if r > tol:
-        raise InputError(f"block_double needs a unitary input, residual {r:.3e} > {tol:.1e}")
-    eye = np.eye(m.shape[0])
-    return np.block([[m, -eye], [eye, m.conj().T]]) / math.sqrt(2)
-
-
 def nearest_unitary(m) -> np.ndarray:
     """Unitary polar factor of m (the closest unitary in Frobenius norm).
 
@@ -225,68 +205,6 @@ def nearest_unitary(m) -> np.ndarray:
     """
     u, _, vh = np.linalg.svd(_stack(m).astype(np.complex128, copy=False))
     return u @ vh
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of {0..n-1} in one-line notation: i maps to mapping[i]."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.mapping)
-        if n < 1 or sorted(self.mapping) != list(range(n)):
-            raise InputError(f"not a permutation of 0..{n - 1}: {self.mapping}")
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def matrix(self) -> np.ndarray:
-        """0/1 matrix with a 1 at (i, mapping[i]): row = source, column = image."""
-        p = np.zeros((self.n, self.n), dtype=np.int8)
-        p[np.arange(self.n), np.array(self.mapping)] = 1
-        return p
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-
-def complementary(p: Permutation, q: Permutation) -> bool:
-    """Whether P_{i,j} = P_{h,k} = Q_{i,k} = 1 always forces Q_{h,j} = 1.
-
-    In one-line terms: q(i) = p(h) implies q(h) = p(i) for all i, h.  The
-    swapped implication (P and Q exchanged) follows by substituting i and h,
-    so one scan settles both.
-    """
-    if p.n != q.n:
-        raise InputError(f"size mismatch: {p.n} vs {q.n}")
-    pinv = p.inverse()
-    for i in range(p.n):
-        h = pinv(q(i))
-        if q(h) != p(i):
-            return False
-    return True
-
-
-def first_noncomplementary_pair(perms) -> tuple[int, int] | None:
-    """First index pair (i, j), i < j, whose permutations fail `complementary`."""
-    perms = list(perms)
-    for i in range(len(perms)):
-        for j in range(i + 1, len(perms)):
-            if not complementary(perms[i], perms[j]):
-                return (i, j)
-    return None
-
-
-def pairwise_complementary(perms) -> bool:
-    return first_noncomplementary_pair(perms) is None
 
 
 def circulant_spectrum(n: int, residues) -> np.ndarray:

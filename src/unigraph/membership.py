@@ -188,18 +188,27 @@ def _checked_residual(pattern: np.ndarray, matrix: np.ndarray, cfg: SolverConfig
     return residual if residual <= cfg.tol else None
 
 
-def _verify_certificate(D: Digraph, kind: str, matrix: np.ndarray, cfg: SolverConfig) -> Certificate:
-    """Measure an assembled matrix once and release it as a certificate.
+def _verify_certificate(
+    D: Digraph, kind: str, matrix: np.ndarray, residuals: list, cfg: SolverConfig
+) -> Certificate:
+    """Release an assembled matrix as a certificate; its residual is the blocks' worst.
 
-    Each block in it passed the same check, so a failure is a bug, never silence.
+    Each block's residual was measured once, on the block, by
+    `_checked_residual` (None if it failed).  The matrix must be exactly 0
+    off the pattern and above the magnitude floor on it.  Then rows (and
+    columns) of different blocks share no nonzero entry, M M† and M† M are
+    block-diagonal, and the blocks' residuals are the whole's (up to the
+    order of summation).  A failure is a bug, never silence.
     """
-    residual = _checked_residual(D.adj, matrix, cfg)
-    if residual is None:
+    mag = np.abs(matrix)
+    pattern = D.adj != 0
+    exact = np.array_equal(mag != 0, pattern) and (mag[pattern] > cfg.min_magnitude).all()
+    if None in residuals or not exact:
         raise InternalError(
-            f"{kind} certificate misses tol {cfg.tol:.1e} or its support at the magnitude floor "
-            f"{cfg.min_magnitude:.1e} differs from the input digraph"
+            f"{kind} certificate has a block that misses tol {cfg.tol:.1e}, or its support (exactly 0 "
+            f"off the input digraph, above the magnitude floor {cfg.min_magnitude:.1e} on it) differs"
         )
-    return Certificate(kind, matrix, residual)
+    return Certificate(kind, matrix, max(residuals))
 
 
 def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
@@ -213,8 +222,9 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     for J - P); if some block has no rule, the registry on the whole
     pattern, else alternating projection for each such block.  An exact
     or registry matrix that misses the caller's tol or magnitude floor
-    counts as no rule, so the solver answers for it.  Every certificate is
-    checked before release.
+    counts as no rule, so the solver answers for it.  Every block is
+    measured once, and the assembled certificate's support is checked
+    before release.
     """
     cfg = cfg or SolverConfig()
     battery = necessary_battery(D)
@@ -223,6 +233,7 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
         return CertifyOutcome("excluded", battery, None, first.name)
     u = np.zeros((D.n, D.n), dtype=np.complex128)
     kind = "line-digraph-dft"
+    residuals = []
     unruled = []
     for rows, cols in _row_column_blocks(D.adj):
         sub = D.adj[np.ix_(rows, cols)]
@@ -230,10 +241,12 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
         if sub.shape[0] != sub.shape[1]:
             raise InternalError(f"battery passed a pattern with a {sub.shape[0]}x{sub.shape[1]} block")
         m = _block_rule(sub)
-        if m is None or _checked_residual(sub, m, cfg) is None:
+        residual = None if m is None else _checked_residual(sub, m, cfg)
+        if residual is None:
             unruled.append((rows, cols, sub))
             continue
         u[np.ix_(rows, cols)] = m
+        residuals.append(residual)
         if not sub.all():
             kind = "explicit"
     if unruled:
@@ -246,8 +259,9 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
             if m is None:
                 return CertifyOutcome("undecided", battery, None, "no realization found within budget")
             u[np.ix_(rows, cols)] = m
+            residuals.append(_checked_residual(sub, m, cfg))
         kind = "numerical"
-    return CertifyOutcome("certified", battery, _verify_certificate(D, kind, u, cfg), None)
+    return CertifyOutcome("certified", battery, _verify_certificate(D, kind, u, residuals, cfg), None)
 
 
 # === numerical realization ===

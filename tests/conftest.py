@@ -1,10 +1,11 @@
 """Shared test helpers: independent oracles kept deliberately dumb."""
 import itertools
 from collections import Counter, deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from unigraph import Digraph
+from unigraph import Digraph, InputError
 
 
 def pnk_digraph(n: int, k: int) -> Digraph:
@@ -98,3 +99,96 @@ def check_certificate(D: Digraph, matrix, tol: float, delta: float) -> bool:
     if max(np.abs(m @ m.conj().T - eye).max(), np.abs(m.conj().T @ m - eye).max()) > tol:
         return False
     return bool(((np.abs(m) > delta) == D.adj.astype(bool)).all())
+
+
+# === small named graphs ===
+
+def star_graph(leaves: int) -> Digraph:
+    """Center 0 joined to `leaves` leaves."""
+    n = leaves + 1
+    a = np.zeros((n, n), dtype=np.int8)
+    a[0, 1:] = 1
+    a[1:, 0] = 1
+    return Digraph(a)
+
+
+def claw_graph() -> Digraph:
+    return star_graph(3)
+
+
+def paw_graph() -> Digraph:
+    """Triangle with one pendant vertex."""
+    return Digraph([[0, 1, 0, 0], [1, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]])
+
+
+def k33_minus_edge() -> Digraph:
+    """Complete bipartite graph on 3+3 vertices minus the edge {0, 5}."""
+    a = np.zeros((6, 6), dtype=np.int8)
+    a[:3, 3:] = a[3:, :3] = 1
+    a[0, 5] = a[5, 0] = 0
+    return Digraph(a)
+
+
+# === complementary permutations (the oracle for `involution-pairs`) ===
+
+@dataclass(frozen=True)
+class Permutation:
+    """Permutation of {0..n-1} in one-line notation: i maps to mapping[i]."""
+
+    mapping: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.mapping)
+        if n < 1 or sorted(self.mapping) != list(range(n)):
+            raise InputError(f"not a permutation of 0..{n - 1}: {self.mapping}")
+
+    @property
+    def n(self) -> int:
+        return len(self.mapping)
+
+    def __call__(self, i: int) -> int:
+        return self.mapping[i]
+
+    def matrix(self) -> np.ndarray:
+        """0/1 matrix with a 1 at (i, mapping[i]): row = source, column = image."""
+        p = np.zeros((self.n, self.n), dtype=np.int8)
+        p[np.arange(self.n), np.array(self.mapping)] = 1
+        return p
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * self.n
+        for i, j in enumerate(self.mapping):
+            inv[j] = i
+        return Permutation(tuple(inv))
+
+
+def complementary(p: Permutation, q: Permutation) -> bool:
+    """Whether P_{i,j} = P_{h,k} = Q_{i,k} = 1 always forces Q_{h,j} = 1.
+
+    In one-line terms: q(i) = p(h) implies q(h) = p(i) for all i, h.  The
+    swapped implication (P and Q exchanged) follows by substituting i and h,
+    so one scan settles both.
+    """
+    if p.n != q.n:
+        raise InputError(f"size mismatch: {p.n} vs {q.n}")
+    pinv = p.inverse()
+    return all(q(pinv(q(i))) == p(i) for i in range(p.n))
+
+
+def first_noncomplementary_pair(perms) -> tuple[int, int] | None:
+    """First index pair (i, j), i < j, whose permutations fail `complementary`."""
+    perms = list(perms)
+    for i, j in itertools.combinations(range(len(perms)), 2):
+        if not complementary(perms[i], perms[j]):
+            return (i, j)
+    return None
+
+
+def pairwise_complementary(perms) -> bool:
+    return first_noncomplementary_pair(perms) is None
+
+
+def regular_representation(G, s: int) -> Permutation:
+    """The permutation g -> s*g; summing its matrices over S gives the Cayley pattern."""
+    (s,) = G._check_elements([s])
+    return Permutation(tuple(int(x) for x in G.table[s]))

@@ -8,6 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import star_graph
 
 import unigraph as ug
 from unigraph import InternalError, ParseError, membership
@@ -70,7 +71,7 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert report["payload"]["status"] == "certified"
     assert report["payload"]["certificate"]["kind"] == "line-digraph-dft"
 
-    star = write_digraph(tmp_path, "star.txt", ug.star_graph(4))
+    star = write_digraph(tmp_path, "star.txt", star_graph(4))
     code, report, _ = run_json(capsys, ["certify", "--in", star])
     assert code == 1
     assert report["payload"]["status"] == "excluded"
@@ -101,7 +102,7 @@ def test_certify_exact_rules_yield_to_the_callers_bounds(tmp_path, capsys):
 
 
 def test_analyze_exit_codes(tmp_path, capsys):
-    star = write_digraph(tmp_path, "star.txt", ug.star_graph(4))
+    star = write_digraph(tmp_path, "star.txt", star_graph(4))
     code, report, _ = run_json(capsys, ["analyze", "--in", star])
     assert code == 1
     names = [c["name"] for c in report["payload"]["battery"]["conditions"]]
@@ -316,6 +317,24 @@ def test_theorem1_and_spectrum(capsys):
     assert code == 0
     eigs = [complex(re, im) for re, im in report["payload"]["eigenvalues"]]
     assert sum(abs(z) < 1e-9 for z in eigs) == 4
+
+
+def test_theorem1_undecided_under_the_callers_bounds(capsys):
+    # the coset pattern on S:3 splits into 2 x 2 full blocks, and no 2 x 2
+    # unitary has both entries of a row above 0.75: the caller's bound, not
+    # a failed self-check, so undecided (exit 2) as certify answers
+    argv = ["theorem1", "--group", "S:3", "--gens", "(1 2),(1 2 3)", "--delta", "0.75"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (2, "")
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert out[end:].strip() == ""  # one report
+    payload = report["payload"]
+    assert payload["status"] == "undecided" and payload["certificate"] is None
+    assert payload["reason"] == "no realization found within budget"
+    assert sorted(payload["witness"]["subgroup_names"]) == ["(2 3)", "e"]
+    code, out, err = run(capsys, [*argv, "--format", "text"])
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-2:] == ["status: undecided", "reason: no realization found within budget"]
 
 
 def test_spectrum_reads_the_order_from_the_spec(capsys):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import find_isomorphism, pnk_digraph
+from conftest import complementary, find_isomorphism, first_noncomplementary_pair, pnk_digraph, regular_representation
 
 import unigraph as ug
 from unigraph import InputError, ParseError
@@ -20,12 +20,10 @@ from unigraph.groups import (
     line_digraph_witness,
     parse_element_list,
     product_of_cyclics,
-    regular_representation,
     symmetric_group,
     unistochastic_group_conditions,
 )
 from unigraph.linedigraphs import Multidigraph, line_digraph
-from unigraph.matrices import complementary, first_noncomplementary_pair
 from unigraph.membership import SolverConfig, certify
 
 FAST = SolverConfig(restarts=6, max_iter=600)

@@ -1,7 +1,7 @@
 import networkx as nx
 import numpy as np
 import pytest
-from conftest import random_digraph
+from conftest import claw_graph, k33_minus_edge, random_digraph
 
 import unigraph as ug
 from unigraph import Digraph, InputError, Multidigraph
@@ -72,10 +72,10 @@ def test_recognize_known_line_digraphs():
     assert rec.base == Multidigraph([[2]])
 
     # the claw happens to be a line digraph (of a 1-by-3 multidigraph cycle)
-    rec = recognize_line_digraph(ug.claw_graph())
+    rec = recognize_line_digraph(claw_graph())
     assert rec.is_line_digraph
     assert sorted(rec.base.mult.flatten().tolist()) == [0, 0, 1, 3]
-    assert reconstruction_matches(ug.claw_graph(), rec)
+    assert reconstruction_matches(claw_graph(), rec)
 
     # paths are line digraphs of longer paths
     rec = recognize_line_digraph(ug.directed_path(3))
@@ -116,7 +116,7 @@ def expected_witness(a):
 
 
 def test_recognize_rejections_have_witnesses():
-    for D in (ug.hypercube_graph(3), ug.k33_minus_edge(),
+    for D in (ug.hypercube_graph(3), k33_minus_edge(),
               Digraph((np.ones((4, 4)) - np.eye(4)).astype(np.int8))):
         rec = recognize_line_digraph(D)
         assert not rec.is_line_digraph

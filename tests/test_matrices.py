@@ -3,20 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from conftest import Permutation, complementary, first_noncomplementary_pair, pairwise_complementary
 
 import unigraph as ug
-from unigraph import InputError, Permutation
+from unigraph import InputError
 from unigraph.matrices import (
-    block_double,
     circulant_spectrum,
-    complementary,
     dft,
-    first_noncomplementary_pair,
     hypercube_weighing,
     matrix_from_jsonable,
     matrix_to_jsonable,
     nearest_unitary,
-    pairwise_complementary,
     support,
     unitarity_residual,
     weighing_weight,
@@ -122,26 +119,6 @@ def test_hypercube_weighing_support():
         hypercube_weighing(1)
     with pytest.raises(ug.CapacityError):
         hypercube_weighing(13)
-
-
-def test_block_double():
-    m = dft(3)
-    d = block_double(m)
-    assert d.shape == (6, 6)
-    assert unitarity_residual(d) <= 4 * unitarity_residual(m) + 1e-12
-    s = support(d, 1e-9).adj
-    expected = np.block(
-        [
-            [np.ones((3, 3), dtype=np.int8), np.eye(3, dtype=np.int8)],
-            [np.eye(3, dtype=np.int8), np.ones((3, 3), dtype=np.int8)],
-        ]
-    )
-    assert np.array_equal(s, expected)
-    # complex-safe: works on matrices whose transpose is not unitary
-    u = np.array([[1j]])
-    assert unitarity_residual(block_double(u)) < 1e-12
-    with pytest.raises(InputError):
-        block_double(np.array([[2.0]]))
 
 
 def test_nearest_unitary():

@@ -3,7 +3,7 @@ from itertools import product
 import networkx as nx
 import numpy as np
 import pytest
-from conftest import check_certificate, random_digraph
+from conftest import check_certificate, k33_minus_edge, paw_graph, random_digraph, star_graph
 
 import unigraph as ug
 from unigraph import (
@@ -58,7 +58,8 @@ def check_konig_witness(D, witness):
     """A failed term rank's König set S: N+(S) is listed and one short of |S|."""
     s = witness["set"]
     assert witness["term_rank"] < witness["n"] == D.n
-    assert tuple(witness["neighborhood"]) == tuple(sorted(ug.neighborhood(D, s)))
+    reach = set().union(*(D.out_neighbors(v) for v in s))
+    assert tuple(witness["neighborhood"]) == tuple(sorted(reach))
     assert len(witness["neighborhood"]) == len(s) - 1
 
 
@@ -138,13 +139,13 @@ def test_battery_directed_bridge():
 
 def test_battery_term_rank_and_cycle_factor():
     # star: term rank 2 < 5, so no cycle factor and a Hall-type violator
-    D = ug.star_graph(4)
+    D = star_graph(4)
     rep = necessary_battery(D)
     assert rep["term-rank"].status == "fail"
     assert rep["term-rank"].witness["term_rank"] == 2
     check_konig_witness(D, rep["term-rank"].witness)
     # the König set is found at any size, by the same matching
-    D = ug.star_graph(19)
+    D = star_graph(19)
     check_konig_witness(D, necessary_battery(D)["term-rank"].witness)
     D = ug.hypercube_graph(5)
     rep = necessary_battery(D)
@@ -261,7 +262,7 @@ def test_certify_solves_block_by_block():
 
 
 def test_certify_excluded():
-    for D in (ug.star_graph(4), ug.paw_graph(), ug.path_graph(3)):
+    for D in (star_graph(4), paw_graph(), ug.path_graph(3)):
         out = certify(D, FAST)
         assert out.status == "excluded"
         assert out.reason == "quadrangularity"
@@ -314,7 +315,7 @@ def test_certify_hypercube_routes():
 
 
 def test_certify_k33_minus_edge_relabeled():
-    base = ug.k33_minus_edge()
+    base = k33_minus_edge()
     perm = [3, 0, 5, 1, 4, 2]
     adj = np.zeros((6, 6), dtype=int)
     for a in range(6):
@@ -414,6 +415,39 @@ def test_j_minus_i_without_a_rule_stays_numerical():
         out = certify(D)
         assert out.status == "certified" and out.certificate.kind == "numerical"
         assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+
+
+def test_multi_block_residual_is_the_blocks_worst(monkeypatch):
+    # every block of these unions of J - P, full and 1x1 blocks clears tol
+    # 3.9e-16 on its own, while the assembled matrix sums its products in
+    # another order and can read 4.4e-16: the certificate's residual is the
+    # blocks' worst, and it must certify
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(membership, "alternating_projection", no_solver)
+    cfg = SolverConfig(tol=3.9e-16)
+    rng = np.random.default_rng(0)
+    whole_misses = 0
+    for _ in range(40):
+        blocks = []
+        for _ in range(int(rng.integers(2, 5))):
+            kind = int(rng.integers(3))
+            if kind == 0:
+                blocks.append(j_minus_p(int(rng.choice([4, 5, 6, 8, 11, 12, 13])), rng))
+            else:
+                d = int(rng.integers(2, 6)) if kind == 1 else 1
+                blocks.append(np.ones((d, d), dtype=np.int8))
+        union = disjoint_union(*map(Digraph, blocks))
+        D = Digraph(union.adj[np.ix_(rng.permutation(union.n), rng.permutation(union.n))])
+        out = certify(D, cfg)
+        assert out.status == "certified" and out.certificate.kind in ("explicit", "line-digraph-dft")
+        m = out.certificate.matrix
+        worst = max(unitarity_residual(m[np.ix_(rows, cols)]) for rows, cols in _row_column_blocks(D.adj))
+        assert out.certificate.residual == worst <= cfg.tol
+        assert check_certificate(D, m, 1e-15, 1e-6)
+        whole_misses += unitarity_residual(m) > cfg.tol
+    assert whole_misses >= 1  # the edge is reached: some whole matrix reads above tol
 
 
 def test_registry_below_the_callers_floor_goes_to_the_solver():
@@ -558,13 +592,13 @@ def test_sperner_uniform_exact():
     assert sperner_capacity(ug.cycle_graph(4)).value == 0.5
     assert sperner_capacity(ug.cycle_graph(2)).value == 1.0
     assert sperner_capacity(ug.hypercube_graph(3)).value == 2.0 / 8.0
-    r = sperner_capacity(ug.k33_minus_edge())
+    r = sperner_capacity(k33_minus_edge())
     assert r.value == 2.0 / 6.0
     assert r.mode == "uniform" and len(r.distribution) == 6
 
 
 def test_sperner_optimize_at_least_uniform():
-    for D in (ug.cycle_graph(4), ug.k33_minus_edge()):
+    for D in (ug.cycle_graph(4), k33_minus_edge()):
         uni = sperner_capacity(D).value
         opt = sperner_capacity(D, mode="optimize", seed=3)
         assert opt.mode == "optimize"

@@ -12,3 +12,32 @@ def test_package_exports_every_module_name():
         module = importlib.import_module(f"unigraph.{name}")
         missing = [x for x in module.__all__ if getattr(ug, x, None) is not getattr(module, x)]
         assert not missing, (name, missing)
+
+
+def test_graph_library_routines_are_gone():
+    # no verb and no decision path called these; the tests keep their own
+    # fixtures and oracles in conftest
+    gone = (
+        "neighborhood",
+        "diameter",
+        "cycle_factor",
+        "perfect_two_matching",
+        "TwoMatching",
+        "automorphism_group",
+        "AutomorphismReport",
+        "induced_subdigraph",
+        "block_double",
+        "star_graph",
+        "claw_graph",
+        "paw_graph",
+        "k33_minus_edge",
+        "Permutation",
+        "complementary",
+        "first_noncomplementary_pair",
+        "pairwise_complementary",
+        "regular_representation",
+    )
+    assert [name for name in gone if hasattr(ug, name)] == []
+    for module in (ug.digraphs, ug.matrices, ug.groups):
+        assert [name for name in gone if hasattr(module, name)] == []
+    assert not hasattr(ug.digraphs, "_embeddings") and not hasattr(ug.digraphs, "_check_vertices")
