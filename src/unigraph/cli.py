@@ -340,9 +340,9 @@ def _cmd_theorem1(args) -> CommandResult:
 
 
 def _cmd_spectrum(args) -> CommandResult:
-    # the circulant needs only n, read from the spec: no group table is built
-    n = _spec_order(args.group)  # a malformed or oversized spec keeps its own error
-    if not args.group.strip().startswith("Z:"):
+    # the circulant needs only n, read from the spec: no group table is built or read
+    n = _spec_order(args.group)  # a malformed or oversized family spec keeps its own error
+    if n is None or not args.group.strip().startswith("Z:"):
         raise InputError(f"spectrum needs a cyclic group (Z:n), got {args.group!r}")
     residues = _parse_elements(args.gens, n)
     vals = circulant_spectrum(n, residues)

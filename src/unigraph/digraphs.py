@@ -81,26 +81,11 @@ class Digraph:
     def in_neighbors(self, j: int) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self._adj[:, j]))
 
-    def out_degree(self, i: int) -> int:
-        return int(self._adj[i].sum())
-
-    def in_degree(self, j: int) -> int:
-        return int(self._adj[:, j].sum())
-
     def is_symmetric(self) -> bool:
         return bool((self._adj == self._adj.T).all())
 
     def has_loops(self) -> bool:
         return bool(self._adj.diagonal().any())
-
-    def is_regular(self):
-        """Common in- and out-degree d if the digraph is d-regular, else None."""
-        outs = self._adj.sum(axis=1)
-        ins = self._adj.sum(axis=0)
-        d = int(outs[0])
-        if (outs == d).all() and (ins == d).all():
-            return d
-        return None
 
     def __eq__(self, other):
         return isinstance(other, Digraph) and np.array_equal(self._adj, other._adj)
@@ -473,7 +458,10 @@ def connectivity_numbers(D: Digraph) -> tuple[int, int]:
     return kappa, lam
 
 
-def hamiltonian_cycle(D: Digraph, limit_n: int = 12) -> list[int] | None:
+_HAMILTONIAN_CAP = 12
+
+
+def hamiltonian_cycle(D: Digraph) -> list[int] | None:
     """Spanning dicycle found by backtracking, or None.
 
     Vertices are listed once, the closing arc back to the start is implied.
@@ -481,8 +469,8 @@ def hamiltonian_cycle(D: Digraph, limit_n: int = 12) -> list[int] | None:
     spanning cycle (n = 2 uses both arcs of the edge).
     """
     n = D.n
-    if n > limit_n:
-        raise CapacityError(f"hamiltonian search capped at {limit_n} vertices, got {n}")
+    if n > _HAMILTONIAN_CAP:
+        raise CapacityError(f"hamiltonian search capped at {_HAMILTONIAN_CAP} vertices, got {n}")
     if n == 1:
         return [0] if D.adj[0, 0] else None
     out = [D.out_neighbors(v) for v in range(n)]

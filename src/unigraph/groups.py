@@ -114,16 +114,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self._inv[a])
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mult(x, a)
-            k += 1
-        return k
-
     def subgroup_closure(self, elements) -> frozenset[int]:
         """Subgroup generated by the elements (orbit of the identity)."""
         gens = self._check_elements(elements)
@@ -139,9 +129,6 @@ class FiniteGroup:
                         nxt.append(y)
             frontier = nxt
         return frozenset(seen)
-
-    def generates(self, elements) -> bool:
-        return len(self.subgroup_closure(elements)) == self.order
 
     def _check_elements(self, elements) -> list[int]:
         out = []
@@ -308,17 +295,12 @@ def _family(spec: str):
     return family
 
 
-def _spec_order(spec: str) -> int:
-    """The order of the group a spec names, with build_group's errors.
-
-    A family's order is read from the spec, so no table is built; an
-    explicit table is read and checked (at most _TABLE_CAP rows).
-    """
+def _spec_order(spec: str) -> int | None:
+    """The order of the family group a spec names, read from the spec with
+    build_group's errors, so no table is built; None for any other spec."""
     spec = spec.strip()
     family = _family(spec)
-    if family is None:
-        return build_group(spec).order
-    return _check_order(spec, family[2], _ORDER_CAP)
+    return None if family is None else _check_order(spec, family[2], _ORDER_CAP)
 
 
 def build_group(spec: str, cap: int = _ORDER_CAP) -> FiniteGroup:

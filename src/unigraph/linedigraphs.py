@@ -67,10 +67,6 @@ class Multidigraph:
         copies = np.arange(int(counts.sum())) - np.repeat(starts, counts)
         return np.repeat(tails, counts), np.repeat(heads, counts), copies
 
-    def arcs(self) -> list[tuple[int, int, int]]:
-        """(tail, head, copy) triples, ordered by tail, then head, then copy."""
-        return list(zip(*(x.tolist() for x in self._arc_arrays())))
-
     def __eq__(self, other):
         return isinstance(other, Multidigraph) and np.array_equal(self._mult, other._mult)
 

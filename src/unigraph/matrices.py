@@ -26,7 +26,6 @@ __all__ = [
     "nearest_unitary",
     "circulant_spectrum",
     "matrix_to_jsonable",
-    "matrix_from_jsonable",
     "HYPERCUBE_SEED",
     "HYPERCUBE_LOOPED_SEED",
 ]
@@ -233,23 +232,3 @@ def matrix_to_jsonable(m) -> dict:
         a = a.astype(np.float64)
     return {"n": int(a.shape[0]), "entries": a.tolist()}
 
-
-def matrix_from_jsonable(obj) -> np.ndarray:
-    try:
-        n = int(obj["n"])
-        entries = obj["entries"]
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise InputError(f"entries are not {n}x{n}")
-        first = entries[0][0]
-        if isinstance(first, (list, tuple)):
-            return np.array(
-                [[complex(v[0], v[1]) for v in row] for row in entries], dtype=np.complex128
-            )
-        values = [v for row in entries for v in row]
-        if not all(isinstance(v, (int, float)) for v in values):
-            raise InputError("matrix entries must be numbers or [re, im] pairs")
-        if all(isinstance(v, int) for v in values):
-            return np.array(entries, dtype=np.int64)
-        return np.array(entries, dtype=np.float64)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"not a serialized matrix: {exc}") from exc

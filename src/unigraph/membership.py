@@ -49,7 +49,6 @@ __all__ = [
     "SurveyRow",
     "SurveyResult",
     "conjecture_survey",
-    "graph_canonical_mask",
 ]
 
 
@@ -211,20 +210,22 @@ def _verify_certificate(
     return Certificate(kind, matrix, max(residuals))
 
 
+# certificate kinds by rank: a certificate is of its blocks' highest kind
+_KINDS = ("line-digraph-dft", "explicit", "weighing", "numerical")
+
+
 def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     """Decide membership as far as the toolbox can: battery, constructions, solver.
 
     A unitary with support D is block-diagonal, up to row and column
     permutations, along the components of D's row-column graph, so D is a
-    member iff every block is.  Order: necessary battery (excluded on any
-    failure); an exact rule per block (`_block_rule`: DFT for a full block,
-    a permuted _V3 for a 3x3 block with one zero, Paley or prime circulant
-    for J - P); if some block has no rule, the registry on the whole
-    pattern, else alternating projection for each such block.  An exact
-    or registry matrix that misses the caller's tol or magnitude floor
-    counts as no rule, so the solver answers for it.  Every block is
-    measured once, and the assembled certificate's support is checked
-    before release.
+    member iff every block is.  After the necessary battery (excluded on
+    any failure), each block takes the first matrix that passes
+    `_checked_residual` at the caller's bounds: its exact rule
+    (`_block_rule`), else the labelled hypercube's weighing matrix
+    restricted to the block (the registry is looked up once), else
+    alternating projection, whose failure makes the answer undecided.
+    The assembled certificate's support is checked at its one release.
     """
     cfg = cfg or SolverConfig()
     battery = necessary_battery(D)
@@ -232,36 +233,34 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
         first = battery.first_failure
         return CertifyOutcome("excluded", battery, None, first.name)
     u = np.zeros((D.n, D.n), dtype=np.complex128)
-    kind = "line-digraph-dft"
+    rank = 0
     residuals = []
-    unruled = []
+    cube = False  # not looked up yet
     for rows, cols in _row_column_blocks(D.adj):
-        sub = D.adj[np.ix_(rows, cols)]
+        block = np.ix_(rows, cols)
+        sub = D.adj[block]
         # term rank n pairs every row with a column of its own block
         if sub.shape[0] != sub.shape[1]:
             raise InternalError(f"battery passed a pattern with a {sub.shape[0]}x{sub.shape[1]} block")
+        kind = "line-digraph-dft" if sub.all() else "explicit"
         m = _block_rule(sub)
         residual = None if m is None else _checked_residual(sub, m, cfg)
         if residual is None:
-            unruled.append((rows, cols, sub))
-            continue
-        u[np.ix_(rows, cols)] = m
-        residuals.append(residual)
-        if not sub.all():
-            kind = "explicit"
-    if unruled:
-        cube = _registry_certificate(D)
-        residual = None if cube is None else _checked_residual(D.adj, cube, cfg)
-        if residual is not None:
-            return CertifyOutcome("certified", battery, Certificate("weighing", cube, residual), None)
-        for rows, cols, sub in unruled:
+            if cube is False:
+                cube = _registry_certificate(D)
+            kind = "weighing"
+            m = None if cube is None else cube[block]
+            residual = None if m is None else _checked_residual(sub, m, cfg)
+        if residual is None:
+            kind = "numerical"
             m = alternating_projection(Digraph(sub), cfg)
             if m is None:
                 return CertifyOutcome("undecided", battery, None, "no realization found within budget")
-            u[np.ix_(rows, cols)] = m
-            residuals.append(_checked_residual(sub, m, cfg))
-        kind = "numerical"
-    return CertifyOutcome("certified", battery, _verify_certificate(D, kind, u, residuals, cfg), None)
+            residual = _checked_residual(sub, m, cfg)
+        u[block] = m
+        residuals.append(residual)
+        rank = max(rank, _KINDS.index(kind))
+    return CertifyOutcome("certified", battery, _verify_certificate(D, _KINDS[rank], u, residuals, cfg), None)
 
 
 # === numerical realization ===
@@ -472,21 +471,6 @@ def _canonical_masks(n: int, bits: np.ndarray) -> np.ndarray:
 
 def _mask_bits(mask: int, pairs: int) -> np.ndarray:
     return (mask >> np.arange(pairs)) & 1
-
-
-_CANONICAL_CAP = 8
-
-
-def graph_canonical_mask(D: Digraph) -> int:
-    """Canonical form of a loop-free graph: the minimum edge bitmask over relabelings."""
-    if not D.is_symmetric() or D.has_loops():
-        raise InputError("canonical masks are defined for loop-free graphs")
-    n = D.n
-    if n > _CANONICAL_CAP:
-        raise CapacityError(f"canonicalization capped at {_CANONICAL_CAP} vertices, got {n}")
-    if n < 2:
-        return 0
-    return int(_canonical_masks(n, D.adj[np.triu_indices(n, 1)][None])[0])
 
 
 def _mask_to_digraph(n: int, mask: int) -> Digraph:

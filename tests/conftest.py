@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from unigraph import Digraph, InputError
+from unigraph import Digraph, InputError, membership
 
 
 def pnk_digraph(n: int, k: int) -> Digraph:
@@ -99,6 +99,20 @@ def check_certificate(D: Digraph, matrix, tol: float, delta: float) -> bool:
     if max(np.abs(m @ m.conj().T - eye).max(), np.abs(m.conj().T @ m - eye).max()) > tol:
         return False
     return bool(((np.abs(m) > delta) == D.adj.astype(bool)).all())
+
+
+def read_matrix(obj) -> np.ndarray:
+    """The matrix of a `matrix_to_jsonable` dict: [re, im] pairs become complex entries."""
+    a = np.array(obj["entries"])
+    assert a.shape[:2] == (obj["n"], obj["n"])
+    return a[..., 0] + 1j * a[..., 1] if a.ndim == 3 else a
+
+
+def canonical_mask(D: Digraph) -> int:
+    """The survey's canonical mask of a loop-free graph: its minimum pair bitmask over relabelings."""
+    assert D.is_symmetric() and not D.has_loops()
+    n = D.n
+    return int(membership._canonical_masks(n, D.adj[np.triu_indices(n, 1)][None])[0])
 
 
 # === small named graphs ===

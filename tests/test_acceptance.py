@@ -10,6 +10,7 @@ import networkx as nx
 import numpy as np
 from conftest import (
     Permutation,
+    canonical_mask,
     check_certificate,
     claw_graph,
     complementary,
@@ -31,7 +32,6 @@ from unigraph import (
     conjecture_survey,
     coset_generating_set,
     cyclic_group,
-    graph_canonical_mask,
     hamiltonian_cycle,
     hypercube_weighing,
     induced_subgraph_search,
@@ -367,7 +367,7 @@ def test_criterion_09_survey_through_six_vertices():
     assert res.counterexample_candidates == ()
 
     target = k33_minus_edge()
-    mask = graph_canonical_mask(target)
+    mask = canonical_mask(target)
     row = next(r for r in res.rows if r.n == 6 and r.mask == mask)
     assert row.status == "certified"
     assert row.hamiltonian

@@ -8,12 +8,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import star_graph
+from conftest import read_matrix, star_graph
 
 import unigraph as ug
 from unigraph import InternalError, ParseError, membership
 from unigraph.cli import build_parser, main, parse_digraph
-from unigraph.matrices import matrix_from_jsonable, weighing_weight
+from unigraph.matrices import weighing_weight
 
 
 def write_digraph(tmp_path, name, D):
@@ -268,7 +268,7 @@ def test_out_artifact_composition(tmp_path, capsys):
     )
     assert code == 0
     d = parse_digraph(art.read_text())
-    assert d.n == 8 and d.is_regular() == 2
+    assert d.n == 8 and (d.adj.sum(axis=0) == 2).all() and (d.adj.sum(axis=1) == 2).all()
 
     code, report, _ = run_json(capsys, ["certify", "--in", str(art)])
     assert code == 0
@@ -297,7 +297,8 @@ def test_hypercube_command(tmp_path, capsys):
     art = tmp_path / "w3.json"
     code, report, _ = run_json(capsys, ["hypercube", "3", "--out", str(art)])
     assert code == 0
-    w = matrix_from_jsonable(json.loads(art.read_text()))
+    w = read_matrix(json.loads(art.read_text()))
+    assert w.dtype.kind == "i"
     assert weighing_weight(w) == 3
     code, report, _ = run_json(capsys, ["hypercube", "3", "--loops"])
     assert code == 0
@@ -337,7 +338,7 @@ def test_theorem1_undecided_under_the_callers_bounds(capsys):
     assert out.splitlines()[-2:] == ["status: undecided", "reason: no realization found within budget"]
 
 
-def test_spectrum_reads_the_order_from_the_spec(capsys):
+def test_spectrum_reads_the_order_from_the_spec(tmp_path, capsys, monkeypatch):
     # a 5040 x 5040 group table alone would take 100 MB or more
     tracemalloc.start()
     try:
@@ -372,6 +373,17 @@ def test_spectrum_reads_the_order_from_the_spec(capsys):
         code, out, err = run(capsys, ["spectrum", "--group", spec, "--gens", gens])
         assert code == want and out == "", spec
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "unexpected" not in err
+    # a table spec is refused as non-cyclic without being read, valid or not
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr("unigraph.groups.FiniteGroup", no_table)
+    table = tmp_path / "z2.json"
+    table.write_text(json.dumps({"table": [[0, 1], [1, 0]]}))
+    for spec in (f"table:{table}", f"table:{tmp_path / 'missing.json'}"):
+        code, out, err = run(capsys, ["spectrum", "--group", spec, "--gens", "1"])
+        assert code == 3 and out == "" and "cyclic" in err, spec
 
 
 def test_survey_command(capsys):

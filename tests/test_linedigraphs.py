@@ -26,7 +26,8 @@ def test_multidigraph_validation():
         Multidigraph([[-1]])
     b = Multidigraph([[0, 2], [1, 0]])
     assert b.arc_count == 3
-    assert b.arcs() == [(0, 1, 0), (0, 1, 1), (1, 0, 0)]
+    # tails, heads and copy numbers, by tail, then head, then copy
+    assert [x.tolist() for x in b._arc_arrays()] == [[0, 0, 1], [1, 1, 0], [0, 1, 0]]
     with pytest.raises(ValueError):
         b.mult[0, 0] = 5
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import Permutation, complementary, first_noncomplementary_pair, pairwise_complementary
+from conftest import Permutation, complementary, first_noncomplementary_pair, pairwise_complementary, read_matrix
 
 import unigraph as ug
 from unigraph import InputError
@@ -11,7 +11,6 @@ from unigraph.matrices import (
     circulant_spectrum,
     dft,
     hypercube_weighing,
-    matrix_from_jsonable,
     matrix_to_jsonable,
     nearest_unitary,
     support,
@@ -236,15 +235,5 @@ def test_matrix_json_round_trip():
         dft(3),
     ):
         obj = matrix_to_jsonable(m)
-        back = matrix_from_jsonable(obj)
+        back = read_matrix(obj)
         assert np.allclose(back, m)
-    with pytest.raises(InputError):
-        matrix_from_jsonable({"n": 2})
-    for bad in (
-        {"n": 2, "entries": [[1, 2]]},
-        {"n": 1, "entries": [["a"]]},
-        {"n": "x", "entries": []},
-        {"n": 1, "entries": [[None]]},
-    ):
-        with pytest.raises(InputError):
-            matrix_from_jsonable(bad)

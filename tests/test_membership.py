@@ -3,7 +3,7 @@ from itertools import product
 import networkx as nx
 import numpy as np
 import pytest
-from conftest import check_certificate, k33_minus_edge, paw_graph, random_digraph, star_graph
+from conftest import canonical_mask, check_certificate, k33_minus_edge, paw_graph, random_digraph, star_graph
 
 import unigraph as ug
 from unigraph import (
@@ -14,7 +14,6 @@ from unigraph import (
     alternating_projection,
     certify,
     conjecture_survey,
-    graph_canonical_mask,
     necessary_battery,
     sperner_capacity,
 )
@@ -234,7 +233,8 @@ def test_dft_route_fires_exactly_on_line_digraphs():
         for cells in product((0, 1), repeat=n * n):
             D = Digraph(np.array(cells, dtype=np.int8).reshape(n, n))
             is_line = recognize_line_digraph(D).is_line_digraph
-            if not (is_line or D.is_regular()):
+            outs, ins = D.adj.sum(axis=1), D.adj.sum(axis=0)
+            if not (is_line or outs[0] and (outs == outs[0]).all() and (ins == outs[0]).all()):
                 continue
             out = certify(D, FAST)
             kind = out.certificate.kind if out.certificate else None
@@ -300,18 +300,21 @@ def test_certify_undecided_on_tiny_budget():
     assert "budget" in out.reason
 
 
-def test_certify_hypercube_routes():
-    # Q3 and looped Q2 are two and one J - P blocks, so an exact rule takes
-    # them before the registry; Q4 and looped Q3 reach the registry
-    for D in (ug.hypercube_graph(3), ug.add_loops(ug.hypercube_graph(2))):
-        out = certify(D, FAST)
-        assert out.status == "certified" and out.certificate.kind == "explicit"
-        assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)
+def test_certify_hypercube_routes(monkeypatch):
+    # Q2 is two full blocks, Q3 and looped Q2 are two and one J - P blocks,
+    # so an exact rule takes them; Q4 and up and looped Q3 and up have no
+    # rule, and every block takes the weighing matrix's restriction
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the solver ran")
 
-    for D in (ug.hypercube_graph(4), ug.add_loops(ug.hypercube_graph(3))):
-        out = certify(D, FAST)
-        assert out.status == "certified" and out.certificate.kind == "weighing"
-        assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)
+    monkeypatch.setattr(membership, "alternating_projection", no_solver)
+    for k in range(2, 8):
+        for loops in (False, True):
+            D = ug.add_loops(ug.hypercube_graph(k)) if loops else ug.hypercube_graph(k)
+            out = certify(D)
+            want = ("line-digraph-dft", "explicit")[k + loops - 2] if k + loops < 4 else "weighing"
+            assert out.status == "certified" and out.certificate.kind == want, (k, loops)
+            assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)
 
 
 def test_certify_k33_minus_edge_relabeled():
@@ -415,6 +418,49 @@ def test_j_minus_i_without_a_rule_stays_numerical():
         out = certify(D)
         assert out.status == "certified" and out.certificate.kind == "numerical"
         assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+
+
+def planted_member(seed: int, n: int = 6, mixes: int = 4) -> Digraph:
+    """Support of a product of seeded Givens rotations: a member by construction."""
+    rng = np.random.default_rng(seed)
+    u = np.eye(n)
+    for _ in range(mixes):
+        i, j = rng.choice(n, 2, replace=False)
+        t = rng.uniform(0.3, 1.2)
+        g = np.eye(n)
+        g[i, i] = g[j, j] = np.cos(t)
+        g[i, j], g[j, i] = -np.sin(t), np.sin(t)
+        u = u @ g
+    assert not ((np.abs(u) > 1e-12) & (np.abs(u) < 1e-3)).any()  # no entry near the floor
+    return Digraph((np.abs(u) > 1e-9).astype(np.int8))
+
+
+def test_every_certificate_is_verified_once(monkeypatch):
+    # one release point: each certified answer, whatever its blocks' routes,
+    # passes through _verify_certificate exactly once
+    verify = membership._verify_certificate
+    kinds = []
+
+    def counting(*args):
+        kinds.append(args[1])
+        return verify(*args)
+
+    monkeypatch.setattr(membership, "_verify_certificate", counting)
+    cases = (
+        (ug.hypercube_graph(4), "weighing"),
+        (ug.add_loops(ug.hypercube_graph(3)), "weighing"),
+        (Digraph(j_minus_p(5)), "explicit"),
+        (line_digraph(Multidigraph([[1, 1], [1, 0]])).digraph, "line-digraph-dft"),
+        (planted_member(1), "numerical"),
+    )
+    for D, want in cases:
+        kinds.clear()
+        out = certify(D, FAST)
+        assert out.status == "certified" and out.certificate.kind == want
+        assert kinds == [want]
+        assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
+    kinds.clear()
+    assert certify(paw_graph(), FAST).status == "excluded" and kinds == []
 
 
 def test_multi_block_residual_is_the_blocks_worst(monkeypatch):
@@ -630,16 +676,7 @@ def test_graph_canonical_mask_invariance():
         for a in range(n):
             for b in range(n):
                 adj[perm[a], perm[b]] = D.adj[a, b]
-        assert graph_canonical_mask(D) == graph_canonical_mask(Digraph(adj))
-
-
-def test_graph_canonical_mask_errors():
-    with pytest.raises(InputError):
-        graph_canonical_mask(ug.directed_cycle(3))
-    with pytest.raises(InputError):
-        graph_canonical_mask(ug.add_loops(ug.cycle_graph(2)))
-    with pytest.raises(CapacityError):
-        graph_canonical_mask(ug.cycle_graph(9))
+        assert canonical_mask(D) == canonical_mask(Digraph(adj))
 
 
 def test_survey_enumerates_every_connected_graph(monkeypatch):
@@ -653,7 +690,7 @@ def test_survey_enumerates_every_connected_graph(monkeypatch):
     for G in nx.graph_atlas_g():
         n = G.number_of_nodes()
         if n >= 2 and nx.is_connected(G):
-            atlas.setdefault(n, set()).add(graph_canonical_mask(Digraph(nx.to_numpy_array(G, dtype=np.int8))))
+            atlas.setdefault(n, set()).add(canonical_mask(Digraph(nx.to_numpy_array(G, dtype=np.int8))))
     assert {n: len(m) for n, m in atlas.items()} == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     assert res.class_counts == {n: len(m) for n, m in atlas.items()}
     for n, masks in atlas.items():

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import unigraph as ug
@@ -36,8 +37,18 @@ def test_graph_library_routines_are_gone():
         "first_noncomplementary_pair",
         "pairwise_complementary",
         "regular_representation",
+        "matrix_from_jsonable",
+        "graph_canonical_mask",
+        "_CANONICAL_CAP",
     )
     assert [name for name in gone if hasattr(ug, name)] == []
-    for module in (ug.digraphs, ug.matrices, ug.groups):
+    for module in (ug.digraphs, ug.matrices, ug.groups, ug.linedigraphs, ug.membership):
         assert [name for name in gone if hasattr(module, name)] == []
     assert not hasattr(ug.digraphs, "_embeddings") and not hasattr(ug.digraphs, "_check_vertices")
+    methods = (
+        (ug.Digraph, ("out_degree", "in_degree", "is_regular")),
+        (ug.FiniteGroup, ("is_abelian", "element_order", "generates")),
+        (ug.Multidigraph, ("arcs",)),
+    )
+    assert [(cls.__name__, m) for cls, names in methods for m in names if hasattr(cls, m)] == []
+    assert list(inspect.signature(ug.hamiltonian_cycle).parameters) == ["D"]
