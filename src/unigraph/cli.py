@@ -362,16 +362,16 @@ def _cmd_spectrum(args) -> CommandResult:
 def _cmd_sperner(args) -> CommandResult:
     D, digest = _load_digraph(args.infile)
     mode = "optimize" if args.optimize else "uniform"
-    res = sperner_capacity(D, mode, seed=args.seed)
+    res = sperner_capacity(D, mode)
     payload = {
         "mode": res.mode,
         "value": res.value,
         "distribution": res.distribution,
     }
     if mode == "optimize":
-        payload["note"] = "projected ascent is a heuristic; the value is a lower bound"
+        payload["note"] = "one mirror ascent on a concave objective; the value is attained, so a lower bound"
     summary = [f"min edge entropy ({res.mode}): {res.value:.6f}"]
-    return CommandResult(0, payload, summary, seed=args.seed, input_path=args.infile, digest=digest)
+    return CommandResult(0, payload, summary, input_path=args.infile, digest=digest)
 
 
 def _cmd_survey(args) -> CommandResult:
@@ -482,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sperner", help="min-edge entropy of a graph")
     p.set_defaults(handler=_cmd_sperner)
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    p.add_argument("--optimize", action="store_true", help="projected-ascent search over distributions")
-    p.add_argument("--seed", type=int, default=0, help="seed for the ascent's restarts")
+    p.add_argument("--optimize", action="store_true", help="mirror ascent over distributions")
     _add_common(p)
 
     p = sub.add_parser("survey", help="certify-and-check-hamiltonicity over all small graphs")

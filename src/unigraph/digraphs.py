@@ -462,52 +462,46 @@ _HAMILTONIAN_CAP = 12
 
 
 def hamiltonian_cycle(D: Digraph) -> list[int] | None:
-    """Spanning dicycle found by backtracking, or None.
+    """Spanning dicycle found by one subset DP (Held-Karp), or None.
 
-    Vertices are listed once, the closing arc back to the start is implied.
-    For n = 1 a loop is required; for a graph the dicycle doubles as a
-    spanning cycle (n = 2 uses both arcs of the edge).
+    ends[mask] is the bitset of the last vertices of the paths that start at
+    vertex 0 and visit exactly the vertices of mask; the cycle is read back
+    from the full mask.  Vertices are listed once, the closing arc back to
+    the start is implied.  For n = 1 a loop is required; for a graph the
+    dicycle doubles as a spanning cycle (n = 2 uses both arcs of the edge).
     """
     n = D.n
     if n > _HAMILTONIAN_CAP:
         raise CapacityError(f"hamiltonian search capped at {_HAMILTONIAN_CAP} vertices, got {n}")
-    if n == 1:
-        return [0] if D.adj[0, 0] else None
-    out = [D.out_neighbors(v) for v in range(n)]
-    ins = [D.in_neighbors(v) for v in range(n)]
-    if any(not o for o in out) or any(not i for i in ins):
+    out = [sum(1 << w for w in D.out_neighbors(v)) for v in range(n)]
+    into = [sum(1 << u for u in D.in_neighbors(v)) for v in range(n)]
+    full = (1 << n) - 1
+    ends = [0] * (full + 1)
+    ends[1] = 1
+    for mask in range(1, full, 2):  # every mask holding vertex 0, smaller masks first
+        reach, last = 0, ends[mask]
+        while last:
+            reach |= out[_low_bit(last)]
+            last &= last - 1
+        reach &= ~mask
+        while reach:
+            w = reach & -reach
+            ends[mask | w] |= w
+            reach ^= w
+    last = ends[full] & into[0]
+    if not last:
         return None
-    used = [False] * n
-    used[0] = True
-    path = [0]
+    cycle, mask = [], full
+    while mask != 1:
+        v = _low_bit(last)
+        cycle.append(v)
+        mask ^= 1 << v
+        last = ends[mask] & into[v]
+    return [0] + cycle[::-1]
 
-    def feasible(last):
-        for u in range(n):
-            if used[u]:
-                continue
-            if not any((not used[w]) or w == 0 for w in out[u]):
-                return False
-            if not any((not used[w]) or w == last for w in ins[u]):
-                return False
-        return True
 
-    def extend():
-        last = path[-1]
-        if len(path) == n:
-            return bool(D.adj[last, 0])
-        if not feasible(last):
-            return False
-        for w in out[last]:
-            if not used[w]:
-                used[w] = True
-                path.append(w)
-                if extend():
-                    return True
-                path.pop()
-                used[w] = False
-        return False
-
-    return path if extend() else None
+def _low_bit(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 # === pattern search ===

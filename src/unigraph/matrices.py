@@ -209,7 +209,8 @@ def nearest_unitary(m) -> np.ndarray:
 def circulant_spectrum(n: int, residues) -> np.ndarray:
     """Eigenvalues of the circulant 0/1 matrix with ones at offsets `residues`.
 
-    lambda_j = sum over s of omega^(j s), omega = e^(2 pi i / n), j = 0..n-1.
+    lambda_j = sum over s of omega^(j s), omega = e^(2 pi i / n), j = 0..n-1;
+    each exponent j s is reduced mod n exactly before it is exponentiated.
     """
     if n < 1:
         raise InputError("need n >= 1")
@@ -218,9 +219,7 @@ def circulant_spectrum(n: int, residues) -> np.ndarray:
         raise InputError("need at least one residue")
     if S[0] < 0 or S[-1] >= n:
         raise InputError(f"residues must lie in 0..{n - 1}, got {S}")
-    j = np.arange(n)
-    omega = np.exp(2j * np.pi / n)
-    return np.sum(omega ** np.outer(j, np.array(S)), axis=1)
+    return np.exp(2j * np.pi * (np.outer(np.arange(n), S) % n) / n).sum(axis=1)
 
 
 def matrix_to_jsonable(m) -> dict:

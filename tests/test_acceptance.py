@@ -355,7 +355,7 @@ def test_criterion_08_sperner_values():
         n = D.n
         uni = sperner_capacity(D)
         assert uni.value == 2.0 / n
-        opt = sperner_capacity(D, mode="optimize", seed=0)
+        opt = sperner_capacity(D, mode="optimize")
         assert opt.value >= 2.0 / n - 1e-3
         details.append(f"{label}: uniform {uni.value:.4f}, optimize {opt.value:.4f}")
     print("criterion 8: pass - " + "; ".join(details))

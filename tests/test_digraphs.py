@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import networkx as nx
 import numpy as np
@@ -238,6 +239,11 @@ def test_hamiltonian_cycle_small(monkeypatch):
             assert sorted(cyc) == list(range(D.n))
             closed = list(cyc) + [cyc[0]]
             assert all(D.adj[a, b] for a, b in zip(closed, closed[1:]))
+    # n = 1 needs its loop; n = 2 needs both arcs
+    assert ug.hamiltonian_cycle(Digraph([[1]])) == [0]
+    assert ug.hamiltonian_cycle(Digraph([[0]])) is None
+    assert ug.hamiltonian_cycle(ug.cycle_graph(2)) == [0, 1]
+    assert ug.hamiltonian_cycle(Digraph([[1, 1], [0, 1]])) is None
     assert ug.hamiltonian_cycle(ug.cycle_graph(6)) is not None
     assert ug.hamiltonian_cycle(ug.path_graph(4)) is None
     assert ug.hamiltonian_cycle(ug.hypercube_graph(3)) is not None
@@ -246,6 +252,19 @@ def test_hamiltonian_cycle_small(monkeypatch):
         ug.hamiltonian_cycle(ug.cycle_graph(20))
     monkeypatch.setattr(ug.digraphs, "_HAMILTONIAN_CAP", 20)
     assert ug.hamiltonian_cycle(ug.cycle_graph(20)) is not None
+
+
+def test_hamiltonian_cycle_bounded_at_cap():
+    # vertex 0's only in- and out-neighbour is vertex 1, every other pair
+    # (loops included) is an arc: no spanning dicycle, and a backtracking
+    # search from 0 tries every ordering of the other ten vertices first
+    n = ug.digraphs._HAMILTONIAN_CAP
+    a = np.ones((n, n), dtype=int)
+    a[0, :] = a[:, 0] = 0
+    a[0, 1] = a[1, 0] = 1
+    started = time.perf_counter()
+    assert ug.hamiltonian_cycle(Digraph(a)) is None
+    assert time.perf_counter() - started < 2.0
 
 
 def test_bipartition():

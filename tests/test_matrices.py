@@ -228,6 +228,14 @@ def test_circulant_spectrum_vs_eigvals():
         circulant_spectrum(4, [4])
 
 
+def test_circulant_spectrum_exact_zeros():
+    # lambda_j = omega^j (1 + (-1)^j) for offsets {1, 1 + n/2}: every odd j
+    # vanishes, which holds to rounding only if j s is reduced mod n first
+    for n in (1000, 4096, 5040):
+        vals = circulant_spectrum(n, [1, 1 + n // 2])
+        assert np.count_nonzero(np.abs(vals) < 1e-12) == n // 2
+
+
 def test_matrix_json_round_trip():
     for m in (
         np.array([[1, -1], [0, 2]]),
