@@ -28,7 +28,6 @@ from . import __version__
 from .digraphs import Digraph, add_loops, hypercube_graph
 from .errors import CapacityError, InputError, InternalError, ParseError
 from .groups import (
-    _TABLE_CAP,
     _parse_elements,
     _spec_order,
     build_group,
@@ -214,7 +213,7 @@ def _cmd_certify(args) -> CommandResult:
 
 
 def _cmd_cayley(args) -> CommandResult:
-    G = build_group(args.group, _TABLE_CAP)
+    G = build_group(args.group)
     gens = parse_element_list(G, args.gens)
     X = cayley_digraph(G, gens)
     conds = unistochastic_group_conditions(G, gens)
@@ -300,7 +299,7 @@ def _cmd_hypercube(args) -> CommandResult:
 
 
 def _cmd_theorem1(args) -> CommandResult:
-    G = build_group(args.group, _TABLE_CAP)
+    G = build_group(args.group)
     gens = parse_element_list(G, args.gens)
     if len(gens) != 2:
         raise InputError(f"theorem1 needs exactly two generators, got {len(gens)}")

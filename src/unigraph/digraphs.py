@@ -264,7 +264,7 @@ def quadrangularity_violations(D: Digraph) -> list[tuple[tuple[int, int], str]]:
     # float64 routes the products to BLAS; the counts are exact below 2**53
     A = D.adj.astype(np.float64)
     single = np.stack([np.triu(A.T @ A == 1, 1), np.triu(A @ A.T == 1, 1)], -1)
-    return [((int(i), int(j)), "out" if s else "in") for i, j, s in np.argwhere(single)]
+    return [((i, j), "out" if s else "in") for i, j, s in np.argwhere(single).tolist()]
 
 
 # === matchings ===

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -20,12 +20,6 @@ from .reporting import FAIL, NOT_APPLICABLE, PASS, Condition
 
 __all__ = [
     "FiniteGroup",
-    "cyclic_group",
-    "product_of_cyclics",
-    "boolean_cube_group",
-    "dihedral_group",
-    "symmetric_group",
-    "explicit_group",
     "build_group",
     "cayley_digraph",
     "first_noninvolution_pair",
@@ -35,10 +29,10 @@ __all__ = [
     "parse_element_list",
 ]
 
-_ORDER_CAP = 5040  # |S_7|; every family's order is checked before its table is built
-# explicit tables (cubic associativity check, ~4 s at 1024), and the cayley and
-# theorem1 reports, which inline an order x order matrix
+# rows of any group table: an explicit table's associativity check is cubic
+# (~4 s at 1024), and the cayley and theorem1 reports inline an order x order matrix
 _TABLE_CAP = 1024
+_ORDER_CAP = 5040  # |S_7|; spectrum reads the order from the spec and builds no table
 
 
 def _check_order(family: str, factors, cap: int) -> int:
@@ -146,25 +140,18 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, source={kind}{params})"
 
 
-def cyclic_group(n: int, cap: int = _ORDER_CAP) -> FiniteGroup:
-    if n < 1:
-        raise InputError("need n >= 1")
-    _check_order(f"Z:{n}", (n,), cap)
+def _cyclic_group(n: int) -> FiniteGroup:
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table, names=[str(i) for i in range(n)], source=("cyclic", (n,)))
 
 
-def product_of_cyclics(factors, cap: int = _ORDER_CAP) -> FiniteGroup:
+def _product_of_cyclics(ns: tuple[int, ...]) -> FiniteGroup:
     """Direct product of cyclic groups; the first factor is least significant.
 
     With factors (2,)*k the element index read as a bitmask has bit i equal
     to the i-th coordinate, so the standard basis is 1, 2, 4, ...
     """
-    ns = tuple(int(f) for f in factors)
-    if not ns or any(f < 1 for f in ns):
-        raise InputError(f"factors must be positive, got {ns}")
-    _check_order("prod:" + ",".join(f"Z:{f}" for f in ns), ns, cap)
     n = math.prod(ns)
     idx = np.arange(n)
     digits = []
@@ -181,23 +168,13 @@ def product_of_cyclics(factors, cap: int = _ORDER_CAP) -> FiniteGroup:
     return FiniteGroup(table, names=names, source=("product", ns))
 
 
-def boolean_cube_group(k: int, cap: int = _ORDER_CAP) -> FiniteGroup:
-    if k < 1:
-        raise InputError("need k >= 1")
-    _check_order(f"Z2^{k}", repeat(2, k), cap)
-    return product_of_cyclics((2,) * k, cap)
-
-
-def dihedral_group(n: int, cap: int = _ORDER_CAP) -> FiniteGroup:
+def _dihedral_group(n: int) -> FiniteGroup:
     """Order 2n, elements f*n + r for rotation r and flip f.
 
     Product rule (r1,f1)*(r2,f2) = (r1 + (-1)^f1 * r2 mod n, f1 xor f2), so
     index 1 is the basic rotation, index n the flip, and flip*rot*flip is the
     inverse rotation.
     """
-    if n < 1:
-        raise InputError("need n >= 1")
-    _check_order(f"D:{n}", (2, n), cap)
     f, r = np.divmod(np.arange(2 * n), n)
     f1, r1 = f[:, None], r[:, None]
     table = (f1 ^ f) * n + (r1 + (1 - 2 * f1) * r) % n
@@ -226,11 +203,8 @@ def _lex_rank(p) -> int:
     return rank
 
 
-def symmetric_group(n: int, cap: int = _ORDER_CAP) -> FiniteGroup:
+def _symmetric_group(n: int) -> FiniteGroup:
     """All permutations of n symbols in lexicographic order, composing right first."""
-    if n < 1:
-        raise InputError("need n >= 1")
-    _check_order(f"S:{n}", range(1, n + 1), cap)
     perms = np.array(list(permutations(range(n))), dtype=np.int8)
     names = [_cycle_name(tuple(int(v) for v in p)) for p in perms]
     return FiniteGroup(_composition_ranks(perms), names=names, source=("symmetric", (n,)))
@@ -255,66 +229,63 @@ def _composition_ranks(perms: np.ndarray) -> np.ndarray:
     return np.array(ranks.T, dtype=np.int32, order="C")
 
 
-def explicit_group(table, names=None) -> FiniteGroup:
-    """Group from an outside table; its cubic associativity check caps it at _TABLE_CAP rows."""
-    if isinstance(table, (list, tuple, np.ndarray)) and len(table) > _TABLE_CAP:
-        raise CapacityError(f"explicit table has {len(table)} rows, above the cap of {_TABLE_CAP}")
-    return FiniteGroup(table, names=names, source=("explicit", ()), check_associativity=True)
-
-
 def _family(spec: str):
-    """A built-in family spec as (constructor, argument, order factors), or
-    None for any other spec; InputError unless its parameters are positive integers."""
+    """A built-in family spec as (order factors, table builder), or None for
+    any other spec; InputError unless its parameters are positive integers.
+    The factors are lazy, so a huge parameter is never expanded."""
     try:
         if spec.startswith("Z2^"):
             k = int(spec[3:])
-            family = boolean_cube_group, k, repeat(2, k)
+            params, factors, build = [k], (2 for _ in range(k)), lambda: _product_of_cyclics((2,) * k)
         elif spec.startswith("Z:"):
             n = int(spec[2:])
-            family = cyclic_group, n, (n,)
+            params, factors, build = [n], [n], lambda: _cyclic_group(n)
         elif spec.startswith("D:"):
             n = int(spec[2:])
-            family = dihedral_group, n, (2, n)
+            params, factors, build = [n], [2, n], lambda: _dihedral_group(n)
         elif spec.startswith("S:"):
             n = int(spec[2:])
-            family = symmetric_group, n, range(1, n + 1)
+            params, factors, build = [n], range(1, n + 1), lambda: _symmetric_group(n)
         elif spec.startswith("prod:"):
-            factors = []
+            params = []
             for part in spec[5:].split(","):
                 part = part.strip()
                 if not part.startswith("Z:"):
                     raise InputError(f"product factors must look like Z:n, got {part!r}")
-                factors.append(int(part[2:]))
-            family = product_of_cyclics, factors, factors
+                params.append(int(part[2:]))
+            factors, build = params, lambda: _product_of_cyclics(tuple(params))
         else:
             return None
     except ValueError as exc:
         raise InputError(f"bad group spec {spec!r}: {exc}") from exc
-    if np.min(family[1]) < 1:
+    if min(params) < 1:
         raise InputError(f"bad group spec {spec!r}: parameters must be positive")
-    return family
+    return factors, build
 
 
 def _spec_order(spec: str) -> int | None:
     """The order of the family group a spec names, read from the spec with
-    build_group's errors, so no table is built; None for any other spec."""
+    build_group's errors but spectrum's cap of _ORDER_CAP, so no table is
+    built; None for any other spec."""
     spec = spec.strip()
     family = _family(spec)
-    return None if family is None else _check_order(spec, family[2], _ORDER_CAP)
+    return None if family is None else _check_order(spec, family[0], _ORDER_CAP)
 
 
-def build_group(spec: str, cap: int = _ORDER_CAP) -> FiniteGroup:
+def build_group(spec: str) -> FiniteGroup:
     """Group mini-language: Z:n, Z2^k, D:n, S:n, prod:Z:a,Z:b,..., table:<path>.
 
-    A family group of order above `cap` is refused (CapacityError) before
-    its table is built; an explicit table keeps its own _TABLE_CAP rows.
+    The one way to build a group.  A family group's order is read from the
+    spec, a table file's rows are counted, and a group above _TABLE_CAP
+    rows is refused (CapacityError) before any table is built or checked.
     """
     spec = spec.strip()
     family = _family(spec)
     try:
         if family is not None:
-            constructor, arg, _ = family
-            return constructor(arg, cap)
+            factors, build = family
+            _check_order(spec, factors, _TABLE_CAP)
+            return build()
         if spec.startswith("table:"):
             path = spec[6:]
             try:
@@ -335,7 +306,9 @@ def build_group(spec: str, cap: int = _ORDER_CAP) -> FiniteGroup:
             names = obj.get("names")
             if names is not None and not isinstance(names, list):
                 raise ParseError(f"group table {path}: 'names' must be a list")
-            return explicit_group(table, names=names)
+            if len(table) > _TABLE_CAP:  # counted before the cubic associativity check
+                raise CapacityError(f"explicit table has {len(table)} rows, above the cap of {_TABLE_CAP}")
+            return FiniteGroup(table, names=names, check_associativity=True)
     except ValueError as exc:
         raise InputError(f"bad group spec {spec!r}: {exc}") from exc
     raise InputError(

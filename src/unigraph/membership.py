@@ -347,7 +347,7 @@ def alternating_projection(target: Digraph, cfg: SolverConfig | None = None) -> 
                 width = 0
                 break
         if winner is None:
-            failed += len(keep) - np.count_nonzero(keep)
+            failed += len(keep) - int(np.count_nonzero(keep))  # Python ints, so no budget overflows
             width = min(failed, _POOL_CAP) or 1
         x, thresh, stall_end, deadline = x[keep], thresh[keep], stall_end[keep], deadline[keep]
 

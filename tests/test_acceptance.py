@@ -31,7 +31,6 @@ from unigraph import (
     circulant_spectrum,
     conjecture_survey,
     coset_generating_set,
-    cyclic_group,
     hamiltonian_cycle,
     hypercube_weighing,
     induced_subgraph_search,
@@ -229,7 +228,7 @@ def test_criterion_04_coset_route_end_to_end():
 def test_criterion_05_cyclic_family_properties():
     for n in (4, 6, 8, 10, 12):
         s, t = 1, 1 + n // 2
-        X = cayley_digraph(cyclic_group(n), [s, t])
+        X = cayley_digraph(build_group(f"Z:{n}"), [s, t])
         g = nx.DiGraph(X.arcs())
 
         # measured diameter of this family (see the distance argument in the

@@ -229,10 +229,16 @@ def test_capacity_exit_code(tmp_path, capsys, monkeypatch):
         ("cayley", "Z:1025"),
         ("cayley", "S:7"),
         ("theorem1", "Z:1025"),
+        ("cayley", "Z2^99999999999999999999"),
+        ("theorem1", "Z2^99999999999999999999"),
+        ("spectrum", "Z2^99999999999999999999"),
     ):
         code, out, err = run(capsys, [verb, "--group", spec, "--gens", "1"])
-        assert code == 4 and out == ""
+        assert code == 4 and out == "", spec
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "unexpected" not in err
+    # a nonpositive cube rank is an input error, however large
+    code, out, err = run(capsys, ["cayley", "--group", "Z2^-99999999999999999999", "--gens", "1"])
+    assert code == 3 and out == "" and err.startswith("error:") and "unexpected" not in err
     # explicit tables are refused on their row count, before any check runs
     table = tmp_path / "big.json"
     table.write_text(json.dumps({"table": [[]] * 1025}))
@@ -368,6 +374,8 @@ def test_spectrum_reads_the_order_from_the_spec(tmp_path, capsys, monkeypatch):
         ("Z:0", "1", 3),
         ("Z:abc", "1", 3),
         ("Z:5041", "1", 4),
+        ("Z2^99999999999999999999", "1", 4),
+        ("Z2^-99999999999999999999", "1", 3),
         ("Z:8", "(1 2)", 3),
         ("Z:8", "8", 3),
     ):

@@ -9,18 +9,13 @@ import unigraph as ug
 from unigraph import InputError, ParseError
 from unigraph.digraphs import hamiltonian_cycle, quadrangularity_violations
 from unigraph.groups import (
-    boolean_cube_group,
+    FiniteGroup,
     build_group,
     cayley_digraph,
     coset_generating_set,
-    cyclic_group,
-    dihedral_group,
-    explicit_group,
     first_noninvolution_pair,
     line_digraph_witness,
     parse_element_list,
-    product_of_cyclics,
-    symmetric_group,
     unistochastic_group_conditions,
 )
 from unigraph.linedigraphs import Multidigraph, line_digraph
@@ -37,6 +32,17 @@ def is_abelian(g):
     return np.array_equal(g.table, g.table.T)
 
 
+def table_group(tmp_path, table, names=None):
+    """build_group on a table: file holding `table` and, if given, `names`."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"table": table} if names is None else {"table": table, "names": names}))
+    return build_group(f"table:{path}")
+
+
+def no_table(*args, **kwargs):
+    raise AssertionError("a group table was built")
+
+
 def element_order(g, a):
     k, x = 1, a
     while x != g.identity:
@@ -46,7 +52,7 @@ def element_order(g, a):
 
 
 def test_cyclic_group():
-    g = cyclic_group(6)
+    g = build_group("Z:6")
     assert g.order == 6 and is_abelian(g)
     assert g.mult(4, 5) == 3
     assert g.inv(2) == 4
@@ -55,7 +61,7 @@ def test_cyclic_group():
 
 
 def test_dihedral_group_relations():
-    g = dihedral_group(3)
+    g = build_group("D:3")
     assert g.order == 6 and not is_abelian(g)
     r, f = 1, 3  # rotation by one step, a flip
     assert element_order(g, r) == 3
@@ -66,47 +72,44 @@ def test_dihedral_group_relations():
 
 
 def test_symmetric_group():
-    g = symmetric_group(3)
+    g = build_group("S:3")
     assert g.order == 6 and not is_abelian(g)
     i = g.names.index("(1 2)")
     j = g.names.index("(1 3)")
     assert g.names[g.mult(i, j)] == "(1 3 2)"
     assert g.names[g.mult(j, i)] == "(1 2 3)"
     with pytest.raises(ug.CapacityError):
-        symmetric_group(8)
+        build_group("S:8")
 
 
-def test_group_order_cap():
-    # the order (n, 2n, product of factors, 2^k, n!) is capped at |S_7| = 5040
-    for build, arg in (
-        (cyclic_group, 5041),
-        (dihedral_group, 2521),
-        (product_of_cyclics, [72, 71]),
-        (boolean_cube_group, 13),
-        (symmetric_group, 8),
-    ):
+def test_group_order_cap(monkeypatch):
+    # the order (n, 2n, product of factors, 2^k, n!) is read from the spec and
+    # capped at 1024 rows before any table is built
+    assert build_group("Z2^10").order == 1024
+    monkeypatch.setattr("unigraph.groups.FiniteGroup", no_table)
+    for spec in ("Z:1025", "D:513", "prod:Z:33,Z:32", "Z2^11", "S:7"):
         with pytest.raises(ug.CapacityError):
-            build(arg)
+            build_group(spec)
 
 
 def test_product_of_cyclics():
-    g = product_of_cyclics([2, 3])
+    g = build_group("prod:Z:2,Z:3")
     assert g.order == 6 and is_abelian(g)
     orders = sorted(element_order(g, a) for a in range(6))
-    z6 = cyclic_group(6)
+    z6 = build_group("Z:6")
     assert orders == sorted(element_order(z6, a) for a in range(6))
     cube = build_group("Z2^3")
     assert cube.order == 8
     assert all(element_order(cube, a) in (1, 2) for a in range(8))
 
 
-def test_explicit_group_and_associativity_check():
+def test_explicit_group_and_associativity_check(tmp_path):
     table = [[0, 1], [1, 0]]
-    g = explicit_group(table)
+    g = table_group(tmp_path, table)
     assert g.order == 2
     broken = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]  # not associative / bad inverses
     with pytest.raises(InputError):
-        explicit_group(broken)
+        table_group(tmp_path, broken)
 
 
 def test_build_group_specs(tmp_path):
@@ -132,15 +135,16 @@ def test_build_group_specs(tmp_path):
         build_group(f"table:{bad}")
     with pytest.raises(ParseError):
         build_group("table:/nonexistent/file.json")
-    for table in ([[0, 1], [1, 0.9]], [[0, 1], [1, "0"]], [[0, 1], [1, True]], [[1099511627776]],
-                  None, np.array([[0.0]]), np.array([[True]])):
+    for table in ([[0, 1], [1, 0.9]], [[0, 1], [1, "0"]], [[0, 1], [1, True]], [[1099511627776]]):
         with pytest.raises(InputError):
-            explicit_group(table)
+            table_group(tmp_path, table)
+    # FiniteGroup takes library input too: numpy arrays are checked by dtype
+    for table in (None, np.array([[0.0]]), np.array([[True]])):
+        with pytest.raises(InputError):
+            FiniteGroup(table, check_associativity=True)
     # integer entries in an object array, and names in any sized sequence, are library input
-    z2 = explicit_group(np.array([[0, 1], [1, 0]], dtype=object), names=np.array(["e", "a"]))
+    z2 = FiniteGroup(np.array([[0, 1], [1, 0]], dtype=object), names=np.array(["e", "a"]), check_associativity=True)
     assert z2.order == 2 and z2.names == ("e", "a")
-    with pytest.raises(ug.CapacityError):
-        build_group("S:5", cap=100)
     with pytest.raises(InputError):
         build_group("Q:8")
     with pytest.raises(InputError):
@@ -148,7 +152,7 @@ def test_build_group_specs(tmp_path):
 
 
 def test_parse_element_list():
-    z = cyclic_group(8)
+    z = build_group("Z:8")
     assert parse_element_list(z, "1,5") == [1, 5]
     assert parse_element_list(z, " 3 ,7 ") == [3, 7]
     with pytest.raises(InputError):
@@ -156,7 +160,7 @@ def test_parse_element_list():
     with pytest.raises(InputError):
         parse_element_list(z, "(1 2)")
 
-    s4 = symmetric_group(4)
+    s4 = build_group("S:4")
     idx = parse_element_list(s4, "(1 2),(1 2 3 4)")
     assert [s4.names[i] for i in idx] == ["(1 2)", "(1 2 3 4)"]
     idx = parse_element_list(s4, "(1 2)(3 4)")
@@ -174,7 +178,7 @@ def test_parse_element_list():
 
 
 def test_cayley_digraph():
-    z4 = cyclic_group(4)
+    z4 = build_group("Z:4")
     assert cayley_digraph(z4, [1]) == ug.directed_cycle(4)
     X = cayley_digraph(z4, [1, 3])
     assert X == ug.cycle_graph(4)
@@ -185,7 +189,7 @@ def test_cayley_digraph():
 
 
 def test_regular_representation():
-    g = dihedral_group(4)
+    g = build_group("D:4")
     for s in range(g.order):
         p = regular_representation(g, s)
         X = cayley_digraph(g, [s]) if s != g.identity else None
@@ -195,14 +199,14 @@ def test_regular_representation():
 
 
 def test_coset_generating_set():
-    z5 = cyclic_group(5)
+    z5 = build_group("Z:5")
     T = coset_generating_set(z5, 1, 2)
     assert sorted(T) == [0, 1, 2, 3, 4]
     assert T[0] == 1  # starts at s1, then s1*c^k in power order
-    z6 = cyclic_group(6)
+    z6 = build_group("Z:6")
     with pytest.raises(InputError):
         coset_generating_set(z6, 2, 4)  # <2> does not generate Z6
-    s3 = symmetric_group(3)
+    s3 = build_group("S:3")
     a = s3.names.index("(1 2)")
     b = s3.names.index("(1 2 3)")
     T = coset_generating_set(s3, a, b)
@@ -210,18 +214,18 @@ def test_coset_generating_set():
 
 
 def test_line_digraph_witness():
-    z4 = cyclic_group(4)
+    z4 = build_group("Z:4")
     wit = line_digraph_witness(z4, [1, 3])
     assert wit is not None
     x, sub = wit
     assert sorted(sub) == [0, 2]
     assert line_digraph_witness(z4, [1, 2, 3]) is None
-    z8 = cyclic_group(8)
+    z8 = build_group("Z:8")
     x, sub = line_digraph_witness(z8, [1, 5])
     assert sorted(sub) == [0, 4]
-    d4 = dihedral_group(4)
+    d4 = build_group("D:4")
     assert line_digraph_witness(d4, [1, 4]) is not None
-    s3 = symmetric_group(3)
+    s3 = build_group("S:3")
     T = [s3.names.index("(1 2)"), s3.names.index("(1 2 3)")]
     wit = line_digraph_witness(s3, T)
     assert wit is not None
@@ -230,19 +234,19 @@ def test_line_digraph_witness():
 
 def test_cayley_line_digraph_isomorphisms():
     # X(D4; {r, f}) is the line digraph of the 4-cycle X(Z4; {1,3})
-    d4 = dihedral_group(4)
+    d4 = build_group("D:4")
     X = cayley_digraph(d4, [1, 4])
-    L = line_digraph(Multidigraph(cayley_digraph(cyclic_group(4), [1, 3]).adj)).digraph
+    L = line_digraph(Multidigraph(cayley_digraph(build_group("Z:4"), [1, 3]).adj)).digraph
     assert find_isomorphism(X, L) is not None
 
     # with generators (1 2 ... n) and (1 2 ... n-1), X(S_n) is L(P(n, n-2))
-    s3 = symmetric_group(3)
+    s3 = build_group("S:3")
     gens = parse_element_list(s3, "(1 2),(1 2 3)")
     X = cayley_digraph(s3, gens)
     L = line_digraph(Multidigraph(pnk_digraph(3, 1).adj)).digraph
     assert find_isomorphism(X, L) is not None
 
-    s4 = symmetric_group(4)
+    s4 = build_group("S:4")
     gens = parse_element_list(s4, "(1 2 3),(1 2 3 4)")
     X = cayley_digraph(s4, gens)
     L = line_digraph(Multidigraph(pnk_digraph(4, 2).adj)).digraph
@@ -252,7 +256,7 @@ def test_cayley_line_digraph_isomorphisms():
 
 
 def test_conditions_z8():
-    z8 = cyclic_group(8)
+    z8 = build_group("Z:8")
     conds = unistochastic_group_conditions(z8, [1, 5])
     assert [c.name for c in conds] == ["involution-pairs", "cyclic-generation", "cyclic-graph-iff",
                                        "cyclic-hamiltonian"]
@@ -262,7 +266,7 @@ def test_conditions_z8():
 
 
 def test_conditions_failures_and_witnesses():
-    z8 = cyclic_group(8)
+    z8 = build_group("Z:8")
     by = cond_map(unistochastic_group_conditions(z8, [1, 4]))
     # |1 - 4| != 8/2: 2(s - t) != 0 in Z_8
     assert by["involution-pairs"].status == "fail"
@@ -270,7 +274,7 @@ def test_conditions_failures_and_witnesses():
     assert by["cyclic-generation"].status == "not-applicable"
 
     # generation fails for s=3 despite the parity criterion predicting success
-    z12 = cyclic_group(12)
+    z12 = build_group("Z:12")
     by = cond_map(unistochastic_group_conditions(z12, [3, 9]))
     assert by["involution-pairs"].status == "pass"
     gen = by["cyclic-generation"]
@@ -280,7 +284,7 @@ def test_conditions_failures_and_witnesses():
     assert gen.witness["criterion_matches"] is False
 
     # the 4-cycle is the generating graph case, and it is hamiltonian
-    z4 = cyclic_group(4)
+    z4 = build_group("Z:4")
     by = cond_map(unistochastic_group_conditions(z4, [1, 3]))
     assert by["cyclic-graph-iff"].status == "pass"
     assert by["cyclic-graph-iff"].witness["is_graph"]
@@ -288,7 +292,7 @@ def test_conditions_failures_and_witnesses():
 
     # an odd-order group: a single generator passes, and no pair does, since
     # a passing pair makes s*t^-1 an involution
-    z5 = cyclic_group(5)
+    z5 = build_group("Z:5")
     by = cond_map(unistochastic_group_conditions(z5, [1]))
     assert by["involution-pairs"].status == "pass"
     for S in combinations(range(5), 2):
@@ -296,7 +300,7 @@ def test_conditions_failures_and_witnesses():
         assert by["involution-pairs"].status == "fail"
 
     # involution-pair failure carries the offending pair
-    s3 = symmetric_group(3)
+    s3 = build_group("S:3")
     gens = parse_element_list(s3, "(1 2),(2 3)")
     by = cond_map(unistochastic_group_conditions(s3, gens))
     assert by["involution-pairs"].status == "fail"
@@ -304,7 +308,7 @@ def test_conditions_failures_and_witnesses():
 
 
 def test_conditions_product_groups():
-    g = product_of_cyclics([3, 4])
+    g = build_group("prod:Z:3,Z:4")
     # S = {(1,1), (2,2)}: components over the odd factor must be equal
     s_a = 1 * 1 + 3 * 1  # (a=1, b=1) with first factor least significant
     s_b = 2 + 3 * 2
@@ -315,7 +319,7 @@ def test_conditions_product_groups():
     assert by["involution-pairs"].status == "pass"
 
     # every factor odd: only a single generator passes
-    allodd = product_of_cyclics([3, 5])
+    allodd = build_group("prod:Z:3,Z:5")
     by = cond_map(unistochastic_group_conditions(allodd, [2, 7]))
     assert by["involution-pairs"].status == "fail"
     by = cond_map(unistochastic_group_conditions(allodd, [4]))
@@ -324,7 +328,7 @@ def test_conditions_product_groups():
 
 def test_conditions_skip_foreign_suites():
     # a non-abelian group gets the one test, and no cyclic record
-    d4 = dihedral_group(4)
+    d4 = build_group("D:4")
     conds = unistochastic_group_conditions(d4, [1, 4])
     assert [(c.name, c.status) for c in conds] == [("involution-pairs", "pass")]
     conds = unistochastic_group_conditions(d4, [1, 2, 4])
@@ -334,7 +338,7 @@ def test_conditions_skip_foreign_suites():
 
 def test_dihedral_table_matches_elementwise_rule():
     for n in range(1, 13):
-        g = dihedral_group(n)
+        g = build_group(f"D:{n}")
         for a in range(2 * n):
             f1, r1 = divmod(a, n)
             for b in range(2 * n):
@@ -353,26 +357,28 @@ def test_symmetric_table_matches_sorted_search():
         want = np.empty((len(perms), len(perms)), dtype=np.int32)
         for i in range(len(perms)):
             want[i] = np.searchsorted(keys, perms[i][perms].astype(np.int64) @ powers)
-        assert np.array_equal(symmetric_group(n).table, want)
+        assert np.array_equal(build_group(f"S:{n}").table, want)
 
 
-def test_identity_and_inverse_messages():
+def test_identity_and_inverse_messages(tmp_path):
     with pytest.raises(InputError, match="table has no identity element"):
-        explicit_group([[0, 0], [0, 0]])
+        table_group(tmp_path, [[0, 0], [0, 0]])
     # row 1 holds no identity
     with pytest.raises(InputError, match="element 1 has no two-sided inverse"):
-        explicit_group([[0, 1, 2], [1, 1, 1], [2, 1, 2]])
+        table_group(tmp_path, [[0, 1, 2], [1, 1, 1], [2, 1, 2]])
     # 1*2 = e but 2*1 != e
     with pytest.raises(InputError, match="element 1 has no two-sided inverse"):
-        explicit_group([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+        table_group(tmp_path, [[0, 1, 2], [1, 2, 0], [2, 1, 0]])
     # element 1 is its own inverse; the first offender is 2
     with pytest.raises(InputError, match="element 2 has no two-sided inverse"):
-        explicit_group([[0, 1, 2], [1, 0, 2], [2, 2, 2]])
+        table_group(tmp_path, [[0, 1, 2], [1, 0, 2], [2, 2, 2]])
 
 
-def test_explicit_table_cap():
+def test_explicit_table_cap(tmp_path, monkeypatch):
+    # refused on its row count, before any entry is checked
+    monkeypatch.setattr("unigraph.groups.FiniteGroup", no_table)
     with pytest.raises(ug.CapacityError):
-        explicit_group(np.zeros((1025, 1025)))
+        table_group(tmp_path, np.zeros((1025, 1025)).tolist())
 
 
 SMALL_GROUPS = (
@@ -407,9 +413,9 @@ def test_pair_test_matches_complementarity_and_squares():
 def test_certified_cayley_patterns_fail_no_necessary_condition():
     # J_3 = X(Z_3; Z_3) and J_4 are realized by DFT(3) and DFT(4)
     for n in (3, 4):
-        g = cyclic_group(n)
+        g = build_group(f"Z:{n}")
         assert certify(cayley_digraph(g, range(n)), FAST).status == "certified"
-    cases = [(cyclic_group(4), [0, 1, 2, 3])]
+    cases = [(build_group("Z:4"), [0, 1, 2, 3])]
     for spec in ("Z:2", "Z:3", "Z:4", "Z:5", "Z:6", "Z:7", "Z:8", "Z:9",
                  "D:2", "D:3", "D:4", "S:3", "Z2^3", "prod:Z:2,Z:4"):
         g = build_group(spec)
@@ -449,7 +455,7 @@ def test_cyclic_records_that_cannot_fail():
     # spans Z_n only on Z_2 {0, 1} and Z_4 {1, 3}
     graph_cases = []
     for n in range(1, 25):
-        g = cyclic_group(n)
+        g = build_group(f"Z:{n}")
         for S in combinations(range(n), 2):
             by = cond_map(unistochastic_group_conditions(g, S))
             assert by["cyclic-hamiltonian"].status != "fail", (n, S)
@@ -458,4 +464,4 @@ def test_cyclic_records_that_cannot_fail():
     assert graph_cases == [(2, (0, 1)), (4, (1, 3))]
     # both are hamiltonian, which is why no non-hamiltonicity record is kept
     for n, S in graph_cases:
-        assert hamiltonian_cycle(cayley_digraph(cyclic_group(n), S)) is not None
+        assert hamiltonian_cycle(cayley_digraph(build_group(f"Z:{n}"), S)) is not None

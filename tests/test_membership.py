@@ -609,6 +609,9 @@ def test_restart_pool_matches_serial_order(monkeypatch):
     # the last budget fails restarts fast enough for the width to reach the cap
     cases += [(membership._mask_to_digraph(5, 511), SolverConfig(restarts=r, max_iter=it))
               for r, it in ((3, 2000), (50, 60), (130, 3))]
+    # K6 at 120 iterations: restarts 0 and 1 fail and 2 wins, so the pool draws
+    # after a failure, and a budget beyond int64 gives the answer it gives at 50
+    cases += [(ug.complete_graph(6), SolverConfig(restarts=2**70, max_iter=120))]
     endings, overtaken, widest = set(), [], 0
     for D, cfg in cases:
         got, entered, widths = _pool_run(monkeypatch, D, cfg)

@@ -40,6 +40,12 @@ def test_graph_library_routines_are_gone():
         "matrix_from_jsonable",
         "graph_canonical_mask",
         "_CANONICAL_CAP",
+        "cyclic_group",
+        "product_of_cyclics",
+        "boolean_cube_group",
+        "dihedral_group",
+        "symmetric_group",
+        "explicit_group",
     )
     assert [name for name in gone if hasattr(ug, name)] == []
     for module in (ug.digraphs, ug.matrices, ug.groups, ug.linedigraphs, ug.membership):
@@ -52,3 +58,5 @@ def test_graph_library_routines_are_gone():
     )
     assert [(cls.__name__, m) for cls, names in methods for m in names if hasattr(cls, m)] == []
     assert list(inspect.signature(ug.hamiltonian_cycle).parameters) == ["D"]
+    # every group is built from a spec, against the one table cap
+    assert list(inspect.signature(ug.build_group).parameters) == ["spec"]
