@@ -102,10 +102,15 @@ def zero_diagonal_unitary(n: int) -> np.ndarray | None:
       q = 3 mod 4 (Paley 1933).  Every off-diagonal entry is +-1/sqrt(q).
     - n = p a prime, n >= 5: the circulant with eigenvalues omega^(j^-1 mod p),
       omega = e^(2 pi i / p), reading 0^-1 as 0.  j -> j^-1 permutes the
-      residues, so the diagonal is sum_j omega^j / p = 0; the entry at
-      offset k != 0 is (1 + a Kloosterman sum) / p.  Nothing proves that
-      nonzero (its smallest modulus is 0.086 at p = 7, 0.010 at p = 13 and
-      2.0e-5 at p = 89), so a caller checks the entries it needs.
+      residues, so the diagonal is sum_j omega^j / p = 0.  The entry u_k at
+      offset k != 0 is nonzero: p u_k = 1 + sum_{j != 0} omega^(j^-1 + j k),
+      and the exponent e occurs 1 + chi(e^2 - 4k) + [e = 0] times (chi the
+      Legendre symbol mod p), because k j^2 - e j + 1 has 1 + chi(e^2 - 4k)
+      roots.  The only rational relation among the p-th roots of unity is
+      that they sum to 0, so u_k = 0 would need every count to be 1, hence
+      e^2 = 4k for every e != 0, which fails at e = 1 or 2.  The entries
+      can still be small (0.086 at p = 7, 0.010 at p = 13, 2.0e-5 at
+      p = 89), so a caller checks them against its magnitude floor.
     - otherwise None: the first is J - I(9), then J - I(10).
     """
     if n >= 4 and _is_prime(n - 1):
@@ -201,8 +206,20 @@ def nearest_unitary(m) -> np.ndarray:
     U·V† times the Hermitian V·S·V† gives back m.  The same formula serves
     singular input, where it is one of several nearest unitaries.  A stack
     (..., n, n) gives the polar factor of each matrix.
+
+    LAPACK's gesdd can fail to converge on a well-conditioned matrix.  Then
+    a stack is redone one matrix at a time, so every matrix gesdd takes
+    keeps its bytes, and a matrix it refuses gets X (X† X)^(-1/2) from the
+    eigendecomposition of X† X, the same factor when X is invertible.
     """
-    u, _, vh = np.linalg.svd(_stack(m).astype(np.complex128, copy=False))
+    a = _stack(m).astype(np.complex128, copy=False)
+    try:
+        u, _, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError:
+        if a.ndim > 2:
+            return np.stack([nearest_unitary(x) for x in a.reshape(-1, *a.shape[-2:])]).reshape(a.shape)
+        w, v = np.linalg.eigh(a.conj().T @ a)
+        return a @ (v / np.sqrt(w)) @ v.conj().T
     return u @ vh
 
 

@@ -12,29 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .digraphs import (
     Digraph,
     _konig_set,
-    add_loops,
     hamiltonian_cycle,
-    hypercube_graph,
     quadrangularity_violations,
     term_rank,
 )
 from .errors import CapacityError, InputError, InternalError
 from .linedigraphs import _row_column_blocks
-from .matrices import (
-    _HYPERCUBE_MAX_K,
-    dft,
-    hypercube_weighing,
-    nearest_unitary,
-    unitarity_residual,
-    zero_diagonal_unitary,
-)
+from .matrices import dft, nearest_unitary, unitarity_residual, zero_diagonal_unitary
 from .reporting import FAIL, PASS, Condition, ConditionReport
 
 __all__ = [
@@ -143,39 +134,71 @@ _V3 = np.array(
 )
 
 
-def _registry_certificate(D: Digraph) -> np.ndarray | None:
-    """The labelled hypercube, plain or looped, with its scaled weighing matrix."""
-    n = D.n
-    k = n.bit_length() - 1
-    if n != 1 << k or not 2 <= k <= _HYPERCUBE_MAX_K:
+def _signing(sub: np.ndarray) -> np.ndarray | None:
+    """A 0/+-1 block with orthogonal rows, each scaled to unit length, or None.
+
+    It applies when any two rows meet in 0 or 2 columns.  Rows meeting in
+    {a, b} are orthogonal iff s_ia s_ja s_ib s_jb = -1: one GF(2) equation
+    per pair in the bits (1 - s) / 2, held as an int whose bit 0 is the right
+    side and bit e the e-th arc in row-major order.  Elimination keeps one
+    equation per leading bit, and free bits are 0.  A square matrix with
+    orthonormal rows is orthogonal, so no regularity is needed (weighing
+    matrices: Geramita & Seberry 1979; Beasley, Brualdi & Shader 1993).
+    """
+    n = len(sub)
+    arcs = sub != 0
+    d = np.count_nonzero(arcs, axis=0)
+    if (d * (d - 1)).sum() > 2 * n * (n - 1):  # some two rows meet in 3 or more columns
         return None
-    cube = hypercube_graph(k)
-    for loops in (False, True):
-        if D == (add_loops(cube) if loops else cube):
-            return (hypercube_weighing(k, loops=loops) / math.sqrt(k + loops)).astype(np.complex128)
-    return None
+    bit = np.cumsum(arcs).reshape(arcs.shape).tolist()  # at an arc, its 1-based row-major index
+    meet = {}  # (i, j) -> the columns rows i < j meet in; at most n (n - 1) in all, by the check above
+    for c, col in enumerate(arcs.T):
+        for i, j in combinations(np.flatnonzero(col).tolist(), 2):
+            meet.setdefault((i, j), []).append(c)
+    pivots = {}
+    for (i, j), cols in meet.items():
+        if len(cols) != 2:
+            return None
+        e = 1 | sum(1 << bit[i][c] | 1 << bit[j][c] for c in cols)
+        while e > 1 and (top := e.bit_length() - 1) in pivots:
+            e ^= pivots[top]
+        if e == 1:  # 0 = 1: no signing
+            return None
+        if e:
+            pivots[top] = e
+    x = 1  # the solution, with bit 0 set so that a parity counts the right side
+    for top in sorted(pivots):  # a pivot's other bits lie below it, so they are solved
+        if (pivots[top] & x).bit_count() % 2:
+            x |= 1 << top
+    m = bit[-1][-1]
+    neg = np.unpackbits(np.frombuffer(x.to_bytes(m // 8 + 1, "little"), np.uint8), bitorder="little")
+    w = arcs.astype(np.float64)
+    w[arcs] -= 2.0 * neg[1:m + 1]
+    return w / np.sqrt(np.count_nonzero(arcs, axis=1))[:, None]
 
 
-def _block_rule(sub: np.ndarray) -> np.ndarray | None:
-    """The exact unitary for one square row-column block, or None.
+def _block_rule(sub: np.ndarray) -> tuple[str, np.ndarray | None]:
+    """The exact unitary for one square row-column block, or None, with its kind.
 
     DFT(d) for a full block.  For a 3x3 block with one zero, _V3 with its
     rows and columns permuted so that its zero lands on the block's.  For a
     block J - P with one zero in each row and column, zero_diagonal_unitary
     with its columns permuted so that row i's zero lands on the block's; it
     has no rule for some sizes (J - I(9), J - I(10)), and J - P supports no
-    unitary below four rows.
+    unitary below four rows.  Otherwise the signed weighing block of
+    `_signing`, which also fits J - I(4) but comes after its Paley rule.
     """
     zr, zc = np.nonzero(sub == 0)  # in row order
     if not len(zr):
-        return dft(len(sub))
+        return "line-digraph-dft", dft(len(sub))
     if sub.shape == (3, 3) and len(zr) == 1:
         r = np.arange(3)  # row i takes _V3's row 0 and column j its column 2, where its zero is
-        return _V3[np.ix_((r - zr[0]) % 3, (r - zc[0] + 2) % 3)]
+        return "explicit", _V3[np.ix_((r - zr[0]) % 3, (r - zc[0] + 2) % 3)]
     if np.array_equal(zr, np.arange(len(sub))) and np.unique(zc).size == len(zc):
         m = zero_diagonal_unitary(len(sub))
-        return None if m is None else m[:, np.argsort(zc)]
-    return None
+        if m is not None:
+            return "explicit", m[:, np.argsort(zc)]
+    return "weighing", _signing(sub)
 
 
 def _checked_residual(pattern: np.ndarray, matrix: np.ndarray, cfg: SolverConfig) -> float | None:
@@ -222,10 +245,11 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     member iff every block is.  After the necessary battery (excluded on
     any failure), each block takes the first matrix that passes
     `_checked_residual` at the caller's bounds: its exact rule
-    (`_block_rule`), else the labelled hypercube's weighing matrix
-    restricted to the block (the registry is looked up once), else
-    alternating projection, whose failure makes the answer undecided.
-    The assembled certificate's support is checked at its one release.
+    (`_block_rule`, the one place an exact matrix is chosen), else
+    alternating projection, whose failure makes the answer undecided.  The
+    rules read only the block's pattern, so a relabelled D takes the same
+    routes.  The assembled certificate's support is checked at its one
+    release.
     """
     cfg = cfg or SolverConfig()
     battery = necessary_battery(D)
@@ -235,22 +259,14 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     u = np.zeros((D.n, D.n), dtype=np.complex128)
     rank = 0
     residuals = []
-    cube = False  # not looked up yet
     for rows, cols in _row_column_blocks(D.adj):
         block = np.ix_(rows, cols)
         sub = D.adj[block]
         # term rank n pairs every row with a column of its own block
         if sub.shape[0] != sub.shape[1]:
             raise InternalError(f"battery passed a pattern with a {sub.shape[0]}x{sub.shape[1]} block")
-        kind = "line-digraph-dft" if sub.all() else "explicit"
-        m = _block_rule(sub)
+        kind, m = _block_rule(sub)
         residual = None if m is None else _checked_residual(sub, m, cfg)
-        if residual is None:
-            if cube is False:
-                cube = _registry_certificate(D)
-            kind = "weighing"
-            m = None if cube is None else cube[block]
-            residual = None if m is None else _checked_residual(sub, m, cfg)
         if residual is None:
             kind = "numerical"
             m = alternating_projection(Digraph(sub), cfg)

@@ -78,7 +78,7 @@ def test_criterion_02_hypercube_weighings():
         assert np.array_equal(wl @ wl.T, (k + 1) * np.eye(n, dtype=np.int64))
         assert support(wl.astype(np.float64)) == ug.add_loops(ug.hypercube_graph(k))
 
-    # Q3 is two J - P blocks, which the Paley rule takes first; Q4 reaches the registry
+    # Q3 is two J - P blocks, which the Paley rule takes first; Q4's blocks are signed
     for k, kind in ((3, "explicit"), (4, "weighing")):
         out = certify(ug.hypercube_graph(k), FAST)
         assert out.status == "certified"

@@ -59,6 +59,26 @@ def test_stacked_polar_factor_and_residual_match_per_matrix():
             nearest_unitary(bad)
 
 
+def test_polar_factor_survives_a_gesdd_failure(monkeypatch):
+    # when gesdd refuses a stack, each matrix is redone alone and keeps its
+    # bytes; the one it refuses alone gets the same factor from eigh
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    want = nearest_unitary(x)
+    svd = np.linalg.svd
+
+    def failing(a, *args, **kwargs):
+        if a.ndim > 2 or np.array_equal(a, x[2]):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    u = nearest_unitary(x)
+    assert all(u[k].tobytes() == want[k].tobytes() for k in (0, 1, 3, 4))
+    assert np.abs(u[2] - want[2]).max() < 1e-12 and unitarity_residual(u[2]) < 1e-12
+    assert nearest_unitary(x.reshape(5, 1, 6, 6)).reshape(x.shape).tobytes() == u.tobytes()
+
+
 def test_dft_unitary_and_full_support():
     for n in (1, 2, 3, 5, 8, 16, 33, 64):
         f = dft(n)

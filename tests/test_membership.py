@@ -270,9 +270,9 @@ def test_certify_excluded():
         assert out.certificate is None
 
 
-def test_certify_k2_registry():
+def test_certify_k2_plain_and_looped():
     # plain and looped K2 are both line digraphs (of the 2-cycle and of a
-    # doubled loop), so the DFT route fires before the registry patterns
+    # doubled loop), so the DFT rule takes them
     out = certify(ug.cycle_graph(2), FAST)
     assert out.status == "certified" and out.certificate.kind == "line-digraph-dft"
     looped = ug.add_loops(ug.cycle_graph(2))
@@ -303,19 +303,42 @@ def test_certify_undecided_on_tiny_budget():
 
 def test_certify_hypercube_routes(monkeypatch):
     # Q2 is two full blocks, Q3 and looped Q2 are two and one J - P blocks,
-    # so an exact rule takes them; Q4 and up and looped Q3 and up have no
-    # rule, and every block takes the weighing matrix's restriction
+    # so the DFT and Paley rules take them; every block of Q4 and up and of
+    # looped Q3 and up is signed.  The rules read only the pattern, so a cube
+    # relabelled by independent P and Q, and its transpose, take the same
+    # kind, and none reaches the solver
     def no_solver(*args, **kwargs):
         raise AssertionError("the solver ran")
 
     monkeypatch.setattr(membership, "alternating_projection", no_solver)
-    for k in range(2, 8):
+    rng = np.random.default_rng(27)
+    for k in range(2, 9):
         for loops in (False, True):
-            D = ug.add_loops(ug.hypercube_graph(k)) if loops else ug.hypercube_graph(k)
-            out = certify(D)
+            cube = ug.add_loops(ug.hypercube_graph(k)) if loops else ug.hypercube_graph(k)
+            relabelled = cube.adj[np.ix_(rng.permutation(cube.n), rng.permutation(cube.n))]
             want = ("line-digraph-dft", "explicit")[k + loops - 2] if k + loops < 4 else "weighing"
-            assert out.status == "certified" and out.certificate.kind == want, (k, loops)
-            assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)
+            for D in (cube, Digraph(relabelled), Digraph(relabelled.T)):
+                out = certify(D)
+                assert out.status == "certified" and out.certificate.kind == want, (k, loops)
+                assert check_certificate(D, out.certificate.matrix, 1e-12, 1e-6)
+    # the same input gives the same certificate, byte for byte
+    again = certify(D).certificate.matrix
+    assert again.tobytes() == out.certificate.matrix.tobytes()
+
+
+def test_signing_declines_inconsistent_and_wide_overlaps():
+    # three equal rows meeting in {0, 1}: the three pair equations add up to 0 = 1
+    assert membership._signing(np.array([[1, 1, 0]] * 3)) is None
+    # rows of J - I(5) meet in 3 columns, and rows of J3 in 3
+    assert membership._signing(j_minus_p(5)) is None
+    assert membership._signing(np.ones((3, 3), dtype=np.int8)) is None
+    # looped Q2 (J - P of order 4) is signed; so is Q4, whose signing has the
+    # integer product W W^T = 4 I
+    for sub in (j_minus_p(4), ug.hypercube_graph(4).adj):
+        w = membership._signing(sub)
+        signed = np.rint(w * np.sqrt(sub.sum(axis=1))[:, None]).astype(np.int64)
+        prod = signed @ signed.T
+        assert np.array_equal(np.abs(signed), sub) and np.count_nonzero(prod - np.diag(np.diag(prod))) == 0
 
 
 def test_certify_k33_minus_edge_relabeled():
@@ -497,14 +520,34 @@ def test_multi_block_residual_is_the_blocks_worst(monkeypatch):
     assert whole_misses >= 1  # the edge is reached: some whole matrix reads above tol
 
 
-def test_registry_below_the_callers_floor_goes_to_the_solver():
-    # Q4's weighing matrix and Q3's Paley blocks have entries 1/2 and
+def test_exact_rule_below_the_callers_floor_goes_to_the_solver():
+    # Q4's signed blocks and Q3's Paley blocks have entries 1/2 and
     # 1/sqrt(3); four entries per row cannot all clear 0.6, so the answer
     # is the solver's undecided, not a failed self-check
     cfg = SolverConfig(min_magnitude=0.6, restarts=2, max_iter=200)
     for D in (ug.hypercube_graph(4), ug.hypercube_graph(3)):
         out = certify(D, cfg)
         assert (out.status, out.certificate) == ("undecided", None)
+
+
+def test_solver_goes_on_when_gesdd_fails(monkeypatch):
+    # gesdd can fail to converge on a well-conditioned iterate: the pool's
+    # stacked polar factor is redone one matrix at a time, the one gesdd
+    # refuses again comes from eigh, and the certificate still passes its
+    # one release check (_verify_certificate raises if it does not)
+    svd, calls = np.linalg.svd, []
+
+    def failing(a, *args, **kwargs):
+        calls.append(a.ndim)
+        if len(calls) <= 2:  # the first stacked call, then its first matrix alone
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    out = certify(SOLVER_BOUND, FAST)
+    assert calls[:2] == [3, 2]
+    assert out.status == "certified" and out.certificate.kind == "numerical"
+    assert check_certificate(SOLVER_BOUND, out.certificate.matrix, 1e-8, 1e-6)
 
 
 def test_alternating_projection_determinism():
