@@ -41,10 +41,10 @@ from .linedigraphs import Multidigraph, line_digraph, recognize_line_digraph
 from .matrices import (
     circulant_spectrum,
     matrix_to_jsonable,
+    signed_weighing,
     support,
     weighing_weight,
 )
-from .matrices import hypercube_weighing as _hypercube_weighing
 from .membership import (
     SolverConfig,
     certify,
@@ -275,14 +275,22 @@ def _cmd_linedigraph(args) -> CommandResult:
     )
 
 
+_HYPERCUBE_MAX_K = 12  # 4096 rows
+
+
 def _cmd_hypercube(args) -> CommandResult:
-    w = _hypercube_weighing(args.k, loops=args.loops)
-    weight = weighing_weight(w)
-    target = hypercube_graph(args.k)
+    k = args.k
+    if k < 2:
+        raise InputError("need k >= 2")
+    if k > _HYPERCUBE_MAX_K:  # k itself, since 2**k of a huge k never finishes
+        raise CapacityError(f"hypercube weighing capped at k = {_HYPERCUBE_MAX_K} (4096 rows), got k = {k}")
+    target = hypercube_graph(k)
     if args.loops:
         target = add_loops(target)
-    if support(w.astype(np.float64), 0.5) != target:
-        raise InternalError("weighing matrix support does not match the cube pattern")
+    w = signed_weighing(target.adj)
+    weight = None if w is None else weighing_weight(w)
+    if weight != k + args.loops or support(w, 0.5) != target:
+        raise InternalError("the signed cube is not a weighing matrix with the cube pattern's support and weight")
     payload = {
         "k": args.k,
         "loops": args.loops,

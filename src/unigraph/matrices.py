@@ -1,5 +1,7 @@
-"""Matrix workhorse: supports, unitarity, DFT, J - I unitaries, weighing
-matrices, the polar factor, circulant spectra.
+"""Matrix workhorse: supports, unitarity, DFT, J - I unitaries, the polar
+factor, circulant spectra, and the one weighing construction: the GF(2)
+signing of a 0/1 pattern, which `certify` applies to a block and the
+`hypercube` verb to the whole cube.
 
 Complex matrices are plain numpy arrays; the functions here are pure.
 Weighing-matrix arithmetic stays in exact integers; everything unitary is
@@ -10,11 +12,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .digraphs import Digraph
-from .errors import CapacityError, InputError
+from .errors import InputError
 
 __all__ = [
     "support",
@@ -22,12 +25,10 @@ __all__ = [
     "dft",
     "zero_diagonal_unitary",
     "weighing_weight",
-    "hypercube_weighing",
+    "signed_weighing",
     "nearest_unitary",
     "circulant_spectrum",
     "matrix_to_jsonable",
-    "HYPERCUBE_SEED",
-    "HYPERCUBE_LOOPED_SEED",
 ]
 
 
@@ -158,44 +159,50 @@ def weighing_weight(w) -> int | None:
     return None
 
 
-# Weight-2 seed supported by the 4-cycle Q_2 (vertices numbered as bitmasks),
-# and the weight-3 seed supported by Q_2 with a loop at every vertex.
-HYPERCUBE_SEED = np.array(
-    [
-        [0, -1, 1, 0],
-        [-1, 0, 0, 1],
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-    ],
-    dtype=np.int64,
-)
-HYPERCUBE_LOOPED_SEED = np.array(
-    [
-        [1, 1, -1, 0],
-        [1, -1, 0, 1],
-        [-1, 0, -1, 1],
-        [0, 1, 1, 1],
-    ],
-    dtype=np.int64,
-)
-_HYPERCUBE_MAX_K = 12  # 4096 rows
+def signed_weighing(pattern) -> np.ndarray | None:
+    """A 0/+-1 integer matrix with exactly the pattern's support and orthogonal rows, or None.
 
-
-def hypercube_weighing(k: int, loops: bool = False) -> np.ndarray:
-    """Integer weighing matrix supported by the k-cube (with loops: cube + loops).
-
-    Doubling step [[W, -I], [I, Wᵀ]] raises the weight by one and extends the
-    support from M(Q_k) to M(Q_{k+1}); the new coordinate is the high bit of
-    the vertex index.  Weight is k, or k+1 with loops.
+    It applies when any two rows meet in 0 or 2 columns.  Rows meeting in
+    {a, b} are orthogonal iff s_ia s_ja s_ib s_jb = -1: one GF(2) equation
+    per pair in the bits (1 - s) / 2, held as an int whose bit 0 is the right
+    side and bit e the e-th arc in row-major order.  Elimination keeps one
+    equation per leading bit, and free bits are 0.  Each row divided by the
+    square root of its weight is a unit vector, and a square matrix with
+    orthonormal rows is orthogonal, so no regularity is needed (weighing
+    matrices: Geramita & Seberry 1979; Beasley, Brualdi & Shader 1993).
     """
-    if k < 2:
-        raise InputError("need k >= 2")
-    if k > _HYPERCUBE_MAX_K:  # k itself, since 2**k of a huge k never finishes
-        raise CapacityError(f"hypercube weighing capped at k = {_HYPERCUBE_MAX_K} (4096 rows), got k = {k}")
-    w = (HYPERCUBE_LOOPED_SEED if loops else HYPERCUBE_SEED).copy()
-    for _ in range(k - 2):
-        eye = np.eye(w.shape[0], dtype=np.int64)
-        w = np.block([[w, -eye], [eye, w.T]])
+    arcs = _square(pattern) != 0
+    n = len(arcs)
+    d = np.count_nonzero(arcs, axis=0)
+    if (d * (d - 1)).sum() > 2 * n * (n - 1):  # some two rows meet in 3 or more columns
+        return None
+    r, c = np.nonzero(arcs)  # in row-major order, so arc e has bit e + 1
+    column = [[] for _ in range(n)]  # column c's (row, bit) pairs, rows ascending
+    for e, (i, j) in enumerate(zip(r.tolist(), c.tolist()), 1):
+        column[j].append((i, e))
+    meet = {}  # (i, j) -> rows i < j's bits where they meet; at most n (n - 1) in all, by the check above
+    for col in column:
+        for (i, a), (j, b) in combinations(col, 2):
+            meet.setdefault((i, j), []).append((a, b))
+    pivots = {}
+    for bits in meet.values():
+        if len(bits) != 2:
+            return None
+        e = 1 | sum(1 << a | 1 << b for a, b in bits)
+        while e > 1 and (top := e.bit_length() - 1) in pivots:
+            e ^= pivots[top]
+        if e == 1:  # 0 = 1: no signing
+            return None
+        if e:
+            pivots[top] = e
+    x = 1  # the solution, with bit 0 set so that a parity counts the right side
+    for top in sorted(pivots):  # a pivot's other bits lie below it, so they are solved
+        if (pivots[top] & x).bit_count() % 2:
+            x |= 1 << top
+    m = len(r)
+    neg = np.unpackbits(np.frombuffer(x.to_bytes(m // 8 + 1, "little"), np.uint8), bitorder="little")
+    w = arcs.astype(np.int64)
+    w[r, c] -= 2 * neg[1:m + 1]
     return w
 
 

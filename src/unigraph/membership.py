@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .digraphs import (
 )
 from .errors import CapacityError, InputError, InternalError
 from .linedigraphs import _row_column_blocks
-from .matrices import dft, nearest_unitary, unitarity_residual, zero_diagonal_unitary
+from .matrices import dft, nearest_unitary, signed_weighing, unitarity_residual, zero_diagonal_unitary
 from .reporting import FAIL, PASS, Condition, ConditionReport
 
 __all__ = [
@@ -134,49 +134,6 @@ _V3 = np.array(
 )
 
 
-def _signing(sub: np.ndarray) -> np.ndarray | None:
-    """A 0/+-1 block with orthogonal rows, each scaled to unit length, or None.
-
-    It applies when any two rows meet in 0 or 2 columns.  Rows meeting in
-    {a, b} are orthogonal iff s_ia s_ja s_ib s_jb = -1: one GF(2) equation
-    per pair in the bits (1 - s) / 2, held as an int whose bit 0 is the right
-    side and bit e the e-th arc in row-major order.  Elimination keeps one
-    equation per leading bit, and free bits are 0.  A square matrix with
-    orthonormal rows is orthogonal, so no regularity is needed (weighing
-    matrices: Geramita & Seberry 1979; Beasley, Brualdi & Shader 1993).
-    """
-    n = len(sub)
-    arcs = sub != 0
-    d = np.count_nonzero(arcs, axis=0)
-    if (d * (d - 1)).sum() > 2 * n * (n - 1):  # some two rows meet in 3 or more columns
-        return None
-    bit = np.cumsum(arcs).reshape(arcs.shape).tolist()  # at an arc, its 1-based row-major index
-    meet = {}  # (i, j) -> the columns rows i < j meet in; at most n (n - 1) in all, by the check above
-    for c, col in enumerate(arcs.T):
-        for i, j in combinations(np.flatnonzero(col).tolist(), 2):
-            meet.setdefault((i, j), []).append(c)
-    pivots = {}
-    for (i, j), cols in meet.items():
-        if len(cols) != 2:
-            return None
-        e = 1 | sum(1 << bit[i][c] | 1 << bit[j][c] for c in cols)
-        while e > 1 and (top := e.bit_length() - 1) in pivots:
-            e ^= pivots[top]
-        if e == 1:  # 0 = 1: no signing
-            return None
-        if e:
-            pivots[top] = e
-    x = 1  # the solution, with bit 0 set so that a parity counts the right side
-    for top in sorted(pivots):  # a pivot's other bits lie below it, so they are solved
-        if (pivots[top] & x).bit_count() % 2:
-            x |= 1 << top
-    m = bit[-1][-1]
-    neg = np.unpackbits(np.frombuffer(x.to_bytes(m // 8 + 1, "little"), np.uint8), bitorder="little")
-    w = arcs.astype(np.float64)
-    w[arcs] -= 2.0 * neg[1:m + 1]
-    return w / np.sqrt(np.count_nonzero(arcs, axis=1))[:, None]
-
-
 def _block_rule(sub: np.ndarray) -> tuple[str, np.ndarray | None]:
     """The exact unitary for one square row-column block, or None, with its kind.
 
@@ -185,8 +142,9 @@ def _block_rule(sub: np.ndarray) -> tuple[str, np.ndarray | None]:
     block J - P with one zero in each row and column, zero_diagonal_unitary
     with its columns permuted so that row i's zero lands on the block's; it
     has no rule for some sizes (J - I(9), J - I(10)), and J - P supports no
-    unitary below four rows.  Otherwise the signed weighing block of
-    `_signing`, which also fits J - I(4) but comes after its Paley rule.
+    unitary below four rows.  Otherwise `signed_weighing` with each row
+    divided by the square root of its weight, which also fits J - I(4) but
+    comes after its Paley rule.
     """
     zr, zc = np.nonzero(sub == 0)  # in row order
     if not len(zr):
@@ -198,7 +156,8 @@ def _block_rule(sub: np.ndarray) -> tuple[str, np.ndarray | None]:
         m = zero_diagonal_unitary(len(sub))
         if m is not None:
             return "explicit", m[:, np.argsort(zc)]
-    return "weighing", _signing(sub)
+    w = signed_weighing(sub)
+    return "weighing", None if w is None else w / np.sqrt(np.count_nonzero(sub, axis=1))[:, None]
 
 
 def _checked_residual(pattern: np.ndarray, matrix: np.ndarray, cfg: SolverConfig) -> float | None:
@@ -385,7 +344,7 @@ class SpernerResult:
     distribution: tuple[float, ...]
 
 
-_OPTIMIZE_CAP = 10
+_OPTIMIZE_MAX_EDGES = 10_000  # the ascent costs about 28 us per edge: 0.3 s at the cap
 # Optimize mode's ascent: the step falls geometrically from the first to the
 # last size, and the soft minimum's temperature is a fixed fraction of it.
 _ASCENT_STEPS = 1000
@@ -421,8 +380,8 @@ def sperner_capacity(D: Digraph, mode: str = "uniform") -> SpernerResult:
         return SpernerResult("uniform", float(_edge_entropies(mu, i, j)[0].min()), tuple(mu))
     if mode != "optimize":
         raise InputError(f"mode must be 'uniform' or 'optimize', got {mode!r}")
-    if n > _OPTIMIZE_CAP:
-        raise CapacityError(f"optimize mode capped at {_OPTIMIZE_CAP} vertices, got {n}")
+    if len(edges) > _OPTIMIZE_MAX_EDGES:
+        raise CapacityError(f"optimize mode capped at {_OPTIMIZE_MAX_EDGES} edges, got {len(edges)}")
 
     best_val, best_mu = -1.0, mu
     for step in np.geomspace(_STEP_FIRST, _STEP_LAST, _ASCENT_STEPS):

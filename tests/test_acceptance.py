@@ -32,12 +32,12 @@ from unigraph import (
     conjecture_survey,
     coset_generating_set,
     hamiltonian_cycle,
-    hypercube_weighing,
     induced_subgraph_search,
     line_digraph,
     line_digraph_witness,
     parse_element_list,
     recognize_line_digraph,
+    signed_weighing,
     sperner_capacity,
     support,
     unitarity_residual,
@@ -69,12 +69,12 @@ def test_criterion_01_z4_certificate():
 def test_criterion_02_hypercube_weighings():
     for k in range(2, 7):
         n = 2**k
-        w = hypercube_weighing(k)
+        w = signed_weighing(ug.hypercube_graph(k).adj)
         assert w.dtype == np.int64
         assert np.array_equal(w @ w.T, k * np.eye(n, dtype=np.int64))
         assert support(w.astype(np.float64)) == ug.hypercube_graph(k)
 
-        wl = hypercube_weighing(k, loops=True)
+        wl = signed_weighing(ug.add_loops(ug.hypercube_graph(k)).adj)
         assert np.array_equal(wl @ wl.T, (k + 1) * np.eye(n, dtype=np.int64))
         assert support(wl.astype(np.float64)) == ug.add_loops(ug.hypercube_graph(k))
 

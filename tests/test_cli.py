@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import read_matrix, star_graph
 
@@ -210,9 +211,13 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_capacity_exit_code(tmp_path, capsys, monkeypatch):
-    big = write_digraph(tmp_path, "c11.txt", ug.cycle_graph(11))
+    # the ascent is capped on the edge count: K142 has 10011 edges, and C11 is answered
+    big = write_digraph(tmp_path, "k142.txt", ug.complete_graph(142))
     code, out, err = run(capsys, ["sperner", "--in", big, "--optimize"])
-    assert code == 4 and err
+    assert code == 4 and out == "" and err
+    c11 = write_digraph(tmp_path, "c11.txt", ug.cycle_graph(11))
+    code, out, err = run(capsys, ["sperner", "--in", c11, "--optimize"])
+    assert code == 0 and err == ""
     # every group family's order is checked against the cap before any table is built
 
     def no_table(*args, **kwargs):
@@ -310,6 +315,24 @@ def test_hypercube_command(tmp_path, capsys):
     code, report, _ = run_json(capsys, ["hypercube", "3", "--loops"])
     assert code == 0
     assert report["payload"]["weight"] == 4
+    # the rank is checked before 2**k is formed: below 2 an input error, above 12 a capacity error
+    for k, want in (("1", 3), ("13", 4)):
+        code, out, err = run(capsys, ["hypercube", k])
+        assert code == want and out == "" and err.startswith("error:") and "unexpected" not in err
+
+
+def test_hypercube_matrix_is_the_certificate_unscaled(capsys):
+    # the verb and certify sign the cube by one construction: certify signs
+    # each row-column block, and the blocks' signings are the whole cube's
+    for k, loops in [(k, False) for k in range(4, 9)] + [(k, True) for k in range(3, 9)]:
+        cube = ug.add_loops(ug.hypercube_graph(k)) if loops else ug.hypercube_graph(k)
+        code, report, _ = run_json(capsys, ["hypercube", str(k)] + ["--loops"] * loops)
+        assert code == 0
+        w = read_matrix(report["payload"]["matrix"])
+        assert w.dtype.kind == "i" and report["payload"]["weight"] == k + loops
+        cert = ug.certify(cube).certificate
+        assert cert.kind == "weighing"
+        assert np.array_equal(cert.matrix, w / np.sqrt(k + loops)), (k, loops)
 
 
 def test_theorem1_and_spectrum(capsys):

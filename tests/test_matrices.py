@@ -10,9 +10,9 @@ from unigraph import InputError
 from unigraph.matrices import (
     circulant_spectrum,
     dft,
-    hypercube_weighing,
     matrix_to_jsonable,
     nearest_unitary,
+    signed_weighing,
     support,
     unitarity_residual,
     weighing_weight,
@@ -116,7 +116,7 @@ def test_zero_diagonal_unitary():
 
 def test_weighing_weight():
     for k in range(2, 9):
-        w = hypercube_weighing(k)
+        w = signed_weighing(ug.hypercube_graph(k).adj)
         assert w.dtype == np.int64
         assert weighing_weight(w) == k
     assert weighing_weight(np.eye(3, dtype=int)) == 1
@@ -129,15 +129,12 @@ def test_weighing_weight():
 
 def test_hypercube_weighing_support():
     for k in range(2, 7):
-        w = hypercube_weighing(k)
-        assert support(w.astype(float), 0.5) == ug.hypercube_graph(k)
-        wl = hypercube_weighing(k, loops=True)
+        cube = ug.hypercube_graph(k)
+        w = signed_weighing(cube.adj)
+        assert support(w.astype(float), 0.5) == cube
+        wl = signed_weighing(ug.add_loops(cube).adj)
         assert weighing_weight(wl) == k + 1
-        assert support(wl.astype(float), 0.5) == ug.add_loops(ug.hypercube_graph(k))
-    with pytest.raises(InputError):
-        hypercube_weighing(1)
-    with pytest.raises(ug.CapacityError):
-        hypercube_weighing(13)
+        assert support(wl.astype(float), 0.5) == ug.add_loops(cube)
 
 
 def test_nearest_unitary():

@@ -46,6 +46,9 @@ def test_graph_library_routines_are_gone():
         "dihedral_group",
         "symmetric_group",
         "explicit_group",
+        "hypercube_weighing",
+        "HYPERCUBE_SEED",
+        "HYPERCUBE_LOOPED_SEED",
     )
     assert [name for name in gone if hasattr(ug, name)] == []
     for module in (ug.digraphs, ug.matrices, ug.groups, ug.linedigraphs, ug.membership):
