@@ -237,7 +237,7 @@ def _cmd_cayley(args) -> CommandResult:
     ]
     summary += _condition_lines(payload["conditions"])
     digest = _params_digest({"group": args.group, "gens": args.gens})
-    return CommandResult(0, payload, summary, digest=digest, artifact=digraph_to_jsonable(X))
+    return CommandResult(0, payload, summary, digest=digest, artifact=payload["digraph"])
 
 
 def _cmd_linedigraph(args) -> CommandResult:
@@ -269,10 +269,7 @@ def _cmd_linedigraph(args) -> CommandResult:
         "arc_labels": L.labels,
     }
     summary = [f"line digraph has {L.digraph.n} vertices, {L.digraph.arc_count} arcs"]
-    return CommandResult(
-        0, payload, summary, input_path=args.infile, digest=digest,
-        artifact=digraph_to_jsonable(L.digraph),
-    )
+    return CommandResult(0, payload, summary, input_path=args.infile, digest=digest, artifact=payload["digraph"])
 
 
 _HYPERCUBE_MAX_K = 12  # 4096 rows
@@ -303,7 +300,7 @@ def _cmd_hypercube(args) -> CommandResult:
         + (" (looped cube pattern)" if args.loops else " (cube pattern)"),
     ]
     digest = _params_digest({"k": args.k, "loops": args.loops})
-    return CommandResult(0, payload, summary, digest=digest, artifact=matrix_to_jsonable(w))
+    return CommandResult(0, payload, summary, digest=digest, artifact=payload["matrix"])
 
 
 def _cmd_theorem1(args) -> CommandResult:
@@ -541,14 +538,15 @@ def _run(argv: list[str]) -> int:
         "payload": result.payload,
         "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
+    # a report that --out and stdout both take is serialized once
+    report_json = _dumps(report) if args.out and result.artifact is None else None
     if args.out:
-        artifact = result.artifact if result.artifact is not None else report
         try:
-            Path(args.out).write_text(_dumps(artifact) + "\n")
+            Path(args.out).write_text((report_json or _dumps(result.artifact)) + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
     try:
-        print("\n".join(result.summary) if args.format == "text" else _dumps(report))
+        print("\n".join(result.summary) if args.format == "text" else report_json or _dumps(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so the interpreter's

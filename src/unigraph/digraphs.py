@@ -63,29 +63,12 @@ class Digraph:
     def n(self) -> int:
         return int(self._adj.shape[0])
 
-    def arcs(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self._adj))]
-
     @property
     def arc_count(self) -> int:
         return int(self._adj.sum())
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Unordered pairs {i, j}, i < j, with both arcs present."""
-        sym = self._adj & self._adj.T
-        return [(i, j) for i, j in combinations(range(self.n), 2) if sym[i, j]]
-
-    def out_neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self._adj[i]))
-
-    def in_neighbors(self, j: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self._adj[:, j]))
-
     def is_symmetric(self) -> bool:
         return bool((self._adj == self._adj.T).all())
-
-    def has_loops(self) -> bool:
-        return bool(self._adj.diagonal().any())
 
     def __eq__(self, other):
         return isinstance(other, Digraph) and np.array_equal(self._adj, other._adj)
@@ -359,7 +342,7 @@ def _konig_set(D: Digraph, matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
     reached_rows = [matching.index(None)]
     reached_cols: set[int] = set()
     for r in reached_rows:  # grows while it is scanned
-        for c in D.out_neighbors(r):
+        for c in np.flatnonzero(D.adj[r]).tolist():
             if c not in reached_cols:
                 reached_cols.add(c)
                 reached_rows.append(row_of[c])
@@ -430,9 +413,9 @@ def _vertex_flow_network(D: Digraph, s: int, t: int) -> np.ndarray:
     cap = np.zeros((2 * n, 2 * n), dtype=np.int64)
     for v in range(n):
         cap[v, v + n] = big if v in (s, t) else 1
-    for i, j in D.arcs():
-        if i != j:
-            cap[i + n, j] = big
+    i, j = np.nonzero(D.adj)
+    off = i != j
+    cap[i[off] + n, j[off]] = big
     return cap
 
 
@@ -473,8 +456,8 @@ def hamiltonian_cycle(D: Digraph) -> list[int] | None:
     n = D.n
     if n > _HAMILTONIAN_CAP:
         raise CapacityError(f"hamiltonian search capped at {_HAMILTONIAN_CAP} vertices, got {n}")
-    out = [sum(1 << w for w in D.out_neighbors(v)) for v in range(n)]
-    into = [sum(1 << u for u in D.in_neighbors(v)) for v in range(n)]
+    bits = 1 << np.arange(n)  # n <= 12, so the int64 products are exact
+    out, into = (D.adj @ bits).tolist(), (bits @ D.adj).tolist()
     full = (1 << n) - 1
     ends = [0] * (full + 1)
     ends[1] = 1
@@ -509,7 +492,7 @@ def _low_bit(bits: int) -> int:
 def _search_order(D: Digraph) -> list[int]:
     """BFS order over the underlying graph so each vertex sees a placed neighbor."""
     n = D.n
-    und = [set(D.out_neighbors(v)) | set(D.in_neighbors(v)) for v in range(n)]
+    und = [np.flatnonzero(row).tolist() for row in D.adj | D.adj.T]
     order, seen = [], [False] * n
     for start in range(n):
         if seen[start]:
@@ -519,7 +502,7 @@ def _search_order(D: Digraph) -> list[int]:
         while q:
             v = q.popleft()
             order.append(v)
-            for w in sorted(und[v]):
+            for w in und[v]:
                 if not seen[w]:
                     seen[w] = True
                     q.append(w)
@@ -566,7 +549,7 @@ def bipartition(D: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """
     if not D.is_symmetric():
         raise InputError("bipartition needs a graph (symmetric adjacency)")
-    if D.has_loops():
+    if D.adj.diagonal().any():
         return None
     return _lowpoint_dfs(D)[3]
 

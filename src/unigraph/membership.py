@@ -195,6 +195,15 @@ def _verify_certificate(
 # certificate kinds by rank: a certificate is of its blocks' highest kind
 _KINDS = ("line-digraph-dft", "explicit", "weighing", "numerical")
 
+# One solver iteration on an n-row block costs about n^3 work units: 0.35 ms
+# at 32 rows, 9 ms at 128.  Below 16 rows it stops falling (0.03 ms at 8),
+# so smaller blocks count as 16.  The cap is the default 50 x 10 000 budget
+# on a 129-row block, J - I(129) being the largest solver certificate
+# measured.  By those rates the cap is hours, not days: about 7 h at most,
+# on a 16-row block (2.6e8 iterations at 0.1 ms).
+_WORK_FLOOR_ROWS = 16
+_WORK_CAP = 50 * 10_000 * 129**3
+
 
 def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     """Decide membership as far as the toolbox can: battery, constructions, solver.
@@ -207,8 +216,10 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
     (`_block_rule`, the one place an exact matrix is chosen), else
     alternating projection, whose failure makes the answer undecided.  The
     rules read only the block's pattern, so a relabelled D takes the same
-    routes.  The assembled certificate's support is checked at its one
-    release.
+    routes.  A block whose solver budget, restarts x max_iter x
+    max(rows, _WORK_FLOOR_ROWS)^3, exceeds _WORK_CAP is refused before the
+    solver starts.  The assembled certificate's support is checked at its
+    one release.
     """
     cfg = cfg or SolverConfig()
     battery = necessary_battery(D)
@@ -227,6 +238,11 @@ def certify(D: Digraph, cfg: SolverConfig | None = None) -> CertifyOutcome:
         kind, m = _block_rule(sub)
         residual = None if m is None else _checked_residual(sub, m, cfg)
         if residual is None:
+            if cfg.restarts * cfg.max_iter * max(len(sub), _WORK_FLOOR_ROWS) ** 3 > _WORK_CAP:
+                raise CapacityError(
+                    f"solver budget capped at restarts x max-iter x max(block rows, {_WORK_FLOOR_ROWS})^3 = "
+                    f"{_WORK_CAP:.3e}, got {cfg.restarts} x {cfg.max_iter} on a {len(sub)}-row block"
+                )
             kind = "numerical"
             m = alternating_projection(Digraph(sub), cfg)
             if m is None:
@@ -370,18 +386,17 @@ def sperner_capacity(D: Digraph, mode: str = "uniform") -> SpernerResult:
     """
     if not D.is_symmetric():
         raise InputError("sperner_capacity needs a graph (symmetric adjacency)")
-    edges = D.edges()
-    if not edges:
+    i, j = np.nonzero(np.triu(D.adj & D.adj.T, 1))  # each edge once, i < j, in row order
+    if not len(i):
         raise InputError("sperner_capacity needs at least one edge")
     n = D.n
-    i, j = np.array(edges).T
     mu = np.full(n, 1.0 / n)
     if mode == "uniform":
         return SpernerResult("uniform", float(_edge_entropies(mu, i, j)[0].min()), tuple(mu))
     if mode != "optimize":
         raise InputError(f"mode must be 'uniform' or 'optimize', got {mode!r}")
-    if len(edges) > _OPTIMIZE_MAX_EDGES:
-        raise CapacityError(f"optimize mode capped at {_OPTIMIZE_MAX_EDGES} edges, got {len(edges)}")
+    if len(i) > _OPTIMIZE_MAX_EDGES:
+        raise CapacityError(f"optimize mode capped at {_OPTIMIZE_MAX_EDGES} edges, got {len(i)}")
 
     best_val, best_mu = -1.0, mu
     for step in np.geomspace(_STEP_FIRST, _STEP_LAST, _ASCENT_STEPS):
@@ -480,8 +495,10 @@ def conjecture_survey(max_n: int, cfg: SolverConfig | None = None) -> SurveyResu
     certifies each, and checks hamiltonicity (K2's 2-cycle counts).  A row
     that is certified but not hamiltonian is a counterexample candidate.
     """
-    if not 2 <= max_n <= 8:
-        raise InputError(f"max_n must be between 2 and 8, got {max_n}")
+    if max_n < 2:
+        raise InputError(f"max_n must be at least 2, got {max_n}")
+    if max_n > 8:
+        raise CapacityError(f"survey capped at max_n = 8, got {max_n}")
     cfg = cfg or SolverConfig()
     rows: list[SurveyRow] = []
     class_counts: dict[int, int] = {}

@@ -110,7 +110,7 @@ def read_matrix(obj) -> np.ndarray:
 
 def canonical_mask(D: Digraph) -> int:
     """The survey's canonical mask of a loop-free graph: its minimum pair bitmask over relabelings."""
-    assert D.is_symmetric() and not D.has_loops()
+    assert D.is_symmetric() and not D.adj.diagonal().any()
     n = D.n
     return int(membership._canonical_masks(n, D.adj[np.triu_indices(n, 1)][None])[0])
 

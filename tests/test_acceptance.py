@@ -229,7 +229,8 @@ def test_criterion_05_cyclic_family_properties():
     for n in (4, 6, 8, 10, 12):
         s, t = 1, 1 + n // 2
         X = cayley_digraph(build_group(f"Z:{n}"), [s, t])
-        g = nx.DiGraph(X.arcs())
+        arcs = [tuple(a) for a in np.argwhere(X.adj).tolist()]
+        g = nx.DiGraph(arcs)
 
         # measured diameter of this family (see the distance argument in the
         # module docs): one more than the base cycle's n/2 - 1
@@ -247,7 +248,7 @@ def test_criterion_05_cyclic_family_properties():
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-10
 
         # arc-transitive: the automorphisms carry one arc onto every arc
-        (u, v), *_ = arcs = X.arcs()
+        (u, v), *_ = arcs
         autos = nx.algorithms.isomorphism.DiGraphMatcher(g, g).isomorphisms_iter()
         assert {(f[u], f[v]) for f in autos} == set(arcs)
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import read_matrix, star_graph
 
 import unigraph as ug
-from unigraph import InternalError, ParseError, membership
+from unigraph import InternalError, ParseError, cli, membership
 from unigraph.cli import build_parser, main, parse_digraph
 from unigraph.matrices import weighing_weight
 
@@ -249,6 +249,10 @@ def test_capacity_exit_code(tmp_path, capsys, monkeypatch):
     table.write_text(json.dumps({"table": [[]] * 1025}))
     code, out, err = run(capsys, ["cayley", "--group", f"table:{table}", "--gens", "1"])
     assert code == 4 and out == "" and err.startswith("error:")
+    # the survey's vertex count is capped at 8, and below 2 it is an input error
+    for max_n, want in (("9", 4), ("1", 3)):
+        code, out, err = run(capsys, ["survey", "--max-n", max_n])
+        assert code == want and out == "" and err.startswith("error:") and "unexpected" not in err
     # the cube dimension is compared with its cap before 2**k is formed; a
     # timeout turns a regression into a failure rather than a hang
     env = dict(os.environ, PYTHONPATH=str(Path(ug.__file__).resolve().parents[1]))
@@ -257,6 +261,22 @@ def test_capacity_exit_code(tmp_path, capsys, monkeypatch):
         capture_output=True, text=True, env=env, timeout=20,
     )
     assert proc.returncode == 4 and proc.stdout == "" and proc.stderr.startswith("error:")
+
+
+def test_unbounded_restarts_exit_4_before_the_solver(tmp_path, capsys, monkeypatch):
+    # J - I(5) with a loop at vertex 4 has no exact rule; 10^20 restarts of 3
+    # iterations once ran without end, and are now refused before the solver
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(membership, "alternating_projection", no_solver)
+    a = 1 - np.eye(5, dtype=np.int8)
+    a[4, 4] = 1
+    path = write_digraph(tmp_path, "jmi5-loop.txt", ug.Digraph(a))
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["certify", "--in", path, "--restarts", "99999999999999999999", "--max-iter", "3"])
+    assert time.perf_counter() - started < 1
+    assert code == 4 and out == "" and len(err.splitlines()) == 1 and "solver budget" in err
 
 
 def test_closed_stdout_keeps_exit_code():
@@ -285,6 +305,28 @@ def test_out_artifact_composition(tmp_path, capsys):
     code, report, _ = run_json(capsys, ["certify", "--in", str(art)])
     assert code == 0
     assert report["payload"]["status"] == "certified"
+
+
+def test_out_takes_the_payloads_own_object(tmp_path, capsys, monkeypatch):
+    # an artifact is the report's own payload field, and a report that both
+    # --out and stdout take is serialized once: the file holds stdout's bytes
+    dumps = cli._dumps
+    calls = []
+    monkeypatch.setattr(cli, "_dumps", lambda obj: calls.append(obj) or dumps(obj))
+    c3 = write_digraph(tmp_path, "c3.txt", ug.directed_cycle(3))
+    art = tmp_path / "art.json"
+    for argv, field in (
+        (["cayley", "--group", "Z:8", "--gens", "1,5"], "digraph"),
+        (["linedigraph", "--in", c3], "digraph"),
+        (["hypercube", "3"], "matrix"),
+    ):
+        calls.clear()
+        code, out, _ = run(capsys, [*argv, "--out", str(art)])
+        assert code == 0 and len(calls) == 2 and calls[0] is calls[1]["payload"][field]
+        assert art.read_text() == dumps(json.loads(out)["payload"][field]) + "\n"
+    calls.clear()
+    code, out, _ = run(capsys, ["certify", "--in", c3, "--out", str(art)])
+    assert code == 0 and len(calls) == 1 and art.read_text() == out
 
 
 def test_linedigraph_command(tmp_path, capsys):

@@ -13,14 +13,14 @@ from unigraph import Digraph, InputError
 def nx_directed(D):
     g = nx.DiGraph()
     g.add_nodes_from(range(D.n))
-    g.add_edges_from(D.arcs())
+    g.add_edges_from(np.argwhere(D.adj).tolist())
     return g
 
 
 def nx_underlying(D):
     g = nx.Graph()
     g.add_nodes_from(range(D.n))
-    g.add_edges_from((i, j) for i, j in D.arcs() if i != j)
+    g.add_edges_from((i, j) for i, j in np.argwhere(D.adj).tolist() if i != j)
     return g
 
 
@@ -46,9 +46,8 @@ def test_basic_accessors():
     p = paw_graph()
     assert p.n == 4
     assert p.arc_count == 8
-    assert p.edges() == [(0, 1), (1, 2), (1, 3), (2, 3)]
-    assert p.out_neighbors(1) == (0, 2, 3)
-    assert p.is_symmetric() and not p.has_loops()
+    assert np.argwhere(np.triu(p.adj)).tolist() == [[0, 1], [1, 2], [1, 3], [2, 3]]
+    assert p.is_symmetric() and not p.adj.diagonal().any()
     assert p.adj.sum(axis=0).tolist() == p.adj.sum(axis=1).tolist() == [1, 3, 2, 2]
     c5 = ug.cycle_graph(5).adj
     assert (c5.sum(axis=0) == 2).all() and (c5.sum(axis=1) == 2).all()
@@ -76,7 +75,7 @@ def test_directed_bridges_brute():
         D = random_digraph(rng, n, float(rng.uniform(0.1, 0.5)))
         base = nx.number_connected_components(nx_underlying(D))
         expected = []
-        for i, j in D.arcs():
+        for i, j in np.argwhere(D.adj).tolist():
             if i == j or D.adj[j, i]:
                 continue
             g = nx_underlying(D)
@@ -123,7 +122,7 @@ def test_term_rank_and_cycle_factor():
         g = nx.Graph()
         g.add_nodes_from(("r", i) for i in range(n))
         g.add_nodes_from(("c", j) for j in range(n))
-        g.add_edges_from((("r", i), ("c", j)) for i, j in D.arcs())
+        g.add_edges_from((("r", i), ("c", j)) for i, j in np.argwhere(D.adj).tolist())
         match = nx.algorithms.bipartite.hopcroft_karp_matching(
             g, top_nodes=[("r", i) for i in range(n)]
         )
@@ -170,10 +169,7 @@ def brute_hall_violation(D):
     n = D.n
     for size in range(1, n + 1):
         for sub in itertools.combinations(range(n), size):
-            nb = set()
-            for v in sub:
-                nb.update(D.out_neighbors(v))
-            if len(nb) < len(sub):
+            if np.count_nonzero(D.adj[list(sub)].any(axis=0)) < len(sub):
                 return True
     return False
 
@@ -186,13 +182,11 @@ def test_hall_violations_brute():
         assert bool(hv) == brute_hall_violation(D)
         if hv:
             s = hv[0]
-            nb = set().union(*(D.out_neighbors(v) for v in s)) if s else set()
-            assert len(nb) < len(s)
+            assert np.count_nonzero(D.adj[list(s)].any(axis=0)) < len(s)
             # inclusion-minimal: every proper subset satisfies Hall
             for k in range(1, len(s)):
                 for sub in itertools.combinations(s, k):
-                    nb2 = set().union(*(D.out_neighbors(v) for v in sub))
-                    assert len(nb2) >= len(sub)
+                    assert np.count_nonzero(D.adj[list(sub)].any(axis=0)) >= len(sub)
 
 
 def test_connectivity_against_networkx():
@@ -312,7 +306,7 @@ def test_bipartition_against_networkx():
         kinds["isolated"] += any(d == 0 for _, d in g.degree())
         sr = ug.structure_report(D)
         check_two_colouring(D, sr.parts)
-        if D.has_loops():
+        if D.adj.diagonal().any():
             assert ug.bipartition(D) is None
         else:
             assert ug.bipartition(D) == sr.parts
@@ -364,7 +358,7 @@ def test_generators():
     assert ug.directed_path(4).arc_count == 3
     assert star_graph(3) == claw_graph()
     looped = ug.add_loops(ug.cycle_graph(3))
-    assert looped.has_loops() and looped.arc_count == 9
+    assert looped.adj.diagonal().all() and looped.arc_count == 9
     sub = paw_graph().adj[np.ix_([1, 2, 3], [1, 2, 3])]
     assert Digraph(sub) == ug.cycle_graph(3)
     assert ug.hypercube_graph(0).n == 1

@@ -110,6 +110,10 @@ def test_explicit_group_and_associativity_check(tmp_path):
     broken = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]  # not associative / bad inverses
     with pytest.raises(InputError):
         table_group(tmp_path, broken)
+    # a loop of order 5 (identity and inverses fine) reaches the associativity check
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(InputError, match=r"table is not associative at \(1, 1, 2\)"):
+        table_group(tmp_path, loop)
 
 
 def test_build_group_specs(tmp_path):

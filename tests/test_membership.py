@@ -11,6 +11,7 @@ from unigraph import (
     CapacityError,
     Digraph,
     InputError,
+    InternalError,
     SolverConfig,
     alternating_projection,
     certify,
@@ -19,6 +20,7 @@ from unigraph import (
     sperner_capacity,
 )
 from unigraph import Multidigraph, membership
+from unigraph.cli import main
 from unigraph.linedigraphs import _row_column_blocks, line_digraph, recognize_line_digraph
 from unigraph.matrices import dft, nearest_unitary, signed_weighing, support, unitarity_residual
 
@@ -58,8 +60,8 @@ def check_konig_witness(D, witness):
     """A failed term rank's König set S: N+(S) is listed and one short of |S|."""
     s = witness["set"]
     assert witness["term_rank"] < witness["n"] == D.n
-    reach = set().union(*(D.out_neighbors(v) for v in s))
-    assert tuple(witness["neighborhood"]) == tuple(sorted(reach))
+    reach = np.flatnonzero(D.adj[list(s)].any(axis=0)).tolist()
+    assert tuple(witness["neighborhood"]) == tuple(reach)
     assert len(witness["neighborhood"]) == len(s) - 1
 
 
@@ -332,6 +334,9 @@ def test_signing_declines_inconsistent_and_wide_overlaps():
     # rows of J - I(5) meet in 3 columns, and rows of J3 in 3
     assert signed_weighing(j_minus_p(5)) is None
     assert signed_weighing(np.ones((3, 3), dtype=np.int8)) is None
+    # every column holds two arcs, so the degree count passes, but rows 0
+    # and 1 meet in three columns
+    assert signed_weighing(np.array([[1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]])) is None
     # looped Q2 (J - P of order 4) is signed; so is Q4, whose signing has the
     # integer product W W^T = 4 I
     for sub in (j_minus_p(4), ug.hypercube_graph(4).adj):
@@ -485,6 +490,53 @@ def test_every_certificate_is_verified_once(monkeypatch):
         assert check_certificate(D, out.certificate.matrix, 1e-8, 1e-6)
     kinds.clear()
     assert certify(paw_graph(), FAST).status == "excluded" and kinds == []
+
+
+def test_release_check_refuses_a_stray_entry(tmp_path, capsys, monkeypatch):
+    # 1e-12 on one zero of J - I(4)'s Paley matrix passes the block's own
+    # checks (floor and residual) but not the exact support at release: a
+    # bug, so certify raises and the CLI exits 5 on one stderr line
+    rule = membership._block_rule
+
+    def stray(sub):
+        kind, m = rule(sub)
+        m = m.copy()
+        m[tuple(np.argwhere(sub == 0)[0])] = 1e-12
+        return kind, m
+
+    monkeypatch.setattr(membership, "_block_rule", stray)
+    with pytest.raises(InternalError):
+        certify(ug.complete_graph(4))
+    path = tmp_path / "k4.txt"
+    path.write_text("4\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n")
+    code = main(["certify", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal:") and len(err.splitlines()) == 1
+
+
+def test_solver_budget_is_checked_per_block(monkeypatch):
+    # restarts x max_iter x max(rows, 16)^3 against one cap, before the
+    # solver starts: the default budget reaches the solver on J - I(129)
+    # (no exact rule: 128 and 129 are not prime) and is refused on J - I(130)
+    sizes = []
+
+    def solver(target, cfg):
+        sizes.append(target.n)
+        return None
+
+    monkeypatch.setattr(membership, "alternating_projection", solver)
+    assert certify(ug.complete_graph(129)).status == "undecided" and sizes == [129]
+    with pytest.raises(CapacityError):
+        certify(ug.complete_graph(130))
+    # blocks below 16 rows count as 16, so a budget fitting a 16-row block
+    # fits every smaller one, and one iteration more is refused
+    limit = membership._WORK_CAP // 16**3
+    small = Digraph(j_minus_p(9))  # one 9-row block, no exact rule
+    assert certify(small, SolverConfig(restarts=limit, max_iter=1)).status == "undecided"
+    with pytest.raises(CapacityError):
+        certify(small, SolverConfig(restarts=limit + 1, max_iter=1))
+    assert sizes == [129, 9]
 
 
 def test_multi_block_residual_is_the_blocks_worst(monkeypatch):
@@ -691,12 +743,22 @@ def test_sperner_uniform_exact():
 
 
 def test_sperner_optimize_at_least_uniform():
-    for D in (ug.cycle_graph(4), k33_minus_edge()):
+    # loops are not edges: a star with looped leaves has the star's optimum
+    # (each leaf gets 0.19, where a loop, taken for an edge, would cap it at 0.39)
+    looped_leaves = Digraph(star_graph(3).adj + np.diag([0, 1, 1, 1]))
+    assert sperner_capacity(looped_leaves, "optimize") == sperner_capacity(star_graph(3), "optimize")
+    dense = random_digraph(np.random.default_rng(5), 9, 0.5, symmetric=True)
+    for D in (ug.cycle_graph(4), k33_minus_edge(), dense):
         uni = sperner_capacity(D).value
         opt = sperner_capacity(D, mode="optimize")
         assert opt.mode == "optimize"
         assert opt.value >= uni - 1e-12
         assert abs(sum(opt.distribution) - 1.0) < 1e-9
+        # the value is attained by the reported distribution, over the edges
+        # a pair loop lists (the same arithmetic per edge, so equal exactly)
+        edges = [(i, j) for i in range(D.n) for j in range(i + 1, D.n) if D.adj[i, j] and D.adj[j, i]]
+        i, j = np.array(edges).T
+        assert opt.value == membership._edge_entropies(np.array(opt.distribution), i, j)[0].min()
 
 
 def test_sperner_validation():
@@ -771,5 +833,5 @@ def test_conjecture_survey_small():
         assert row.hamiltonian or row.n == 2
     with pytest.raises(InputError):
         conjecture_survey(1)
-    with pytest.raises(InputError):
+    with pytest.raises(CapacityError):
         conjecture_survey(9)

@@ -55,7 +55,8 @@ def test_graph_library_routines_are_gone():
         assert [name for name in gone if hasattr(module, name)] == []
     assert not hasattr(ug.digraphs, "_embeddings") and not hasattr(ug.digraphs, "_check_vertices")
     methods = (
-        (ug.Digraph, ("out_degree", "in_degree", "is_regular")),
+        (ug.Digraph, ("out_degree", "in_degree", "is_regular", "arcs", "edges", "out_neighbors",
+                      "in_neighbors", "has_loops")),
         (ug.FiniteGroup, ("is_abelian", "element_order", "generates")),
         (ug.Multidigraph, ("arcs",)),
     )
